@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-short bench bench-json bench-diff bench-shard bench-serve bench-fused bench-lint shard-smoke serve-smoke fuzz vet lint lint-corpus fmt fmt-check verify experiments clean
+.PHONY: all build test race race-short perfbench-check bench bench-json bench-diff bench-shard bench-serve bench-fused bench-lint shard-smoke serve-smoke fuzz vet lint lint-corpus fmt fmt-check verify experiments clean
 
 all: build test
 
@@ -14,13 +14,14 @@ test:
 
 # The tier-1 gate plus static analysis: what CI runs on every change.
 # Order is cheapest-first: formatting, vet, the repo's own analyzers
-# (cmd/climatelint), the full test suite, then two named re-runs that
-# must stay visible in the verify log even when the suite is green — the
+# (cmd/climatelint), the full test suite, then named re-runs that must
+# stay visible in the verify log even when the suite is green — the
 # tsblob golden-stream bit-identity pin, the record v1→v2 migration
-# smoke, and the fused-vs-materialized verification equivalence pin —
-# then the race detector over the concurrent packages. When two benchmark snapshots are present the
-# benchdiff performance gate runs too; otherwise it is skipped (fresh
-# checkouts have no snapshots).
+# smoke, and the pin of the streaming verification kernels against their
+# whole-field reference loops — then the benchmark module's own build and
+# tests, and the race detector over the concurrent packages. When two
+# benchmark snapshots are present the benchdiff performance gate runs
+# too; otherwise it is skipped (fresh checkouts have no snapshots).
 verify:
 	$(GO) build ./...
 	$(GO) build ./cmd/benchdiff
@@ -33,6 +34,7 @@ verify:
 	$(GO) test ./internal/compress/tsblob/ -run TestGoldenStream
 	$(GO) test ./internal/experiments/ -run TestRecordV1MigrationSmoke
 	$(GO) test ./internal/metrics/ -run TestFusedEquivalence
+	$(MAKE) perfbench-check
 	$(MAKE) race-short
 	$(MAKE) shard-smoke
 	$(MAKE) serve-smoke
@@ -69,11 +71,18 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the packages that actually share memory across
-# goroutines (worker pool, parallel codec, streaming ensemble, runner).
-# Cheap enough to gate every change via `make verify`; `make race` still
-# covers the whole tree on demand.
+# goroutines (worker pool, streaming ensemble, runner, daemon, shard
+# leases, artifact store). Cheap enough to gate every change via
+# `make verify`; `make race` still covers the whole tree on demand.
 race-short:
-	$(GO) test -race ./internal/par ./internal/compress/parallel ./internal/ensemble ./internal/experiments ./internal/serve
+	$(GO) test -race ./internal/par ./internal/ensemble ./internal/experiments ./internal/serve ./internal/shard ./internal/artifact
+
+# The benchmark (perfbench/) is its own Go module, so `go build ./...` and
+# `go test ./...` at the root never compile it. Vet and test it on its own,
+# so a removed or renamed export it calls fails here rather than in
+# perfbench/run.sh.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -495,7 +495,7 @@ func microbenchmarks(rep *benchjson.Report) {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-	data := vs.Original(0)
+	data := fields[0].Data
 	rep.AddBenchmark("rmsz/rmsz-of-member", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if z := vs.RMSZOf(0, data); math.IsNaN(z) {
@@ -503,9 +503,9 @@ func microbenchmarks(rep *benchjson.Report) {
 			}
 		}
 	})
-	members := make([][]float32, vs.Members())
-	for m := range members {
-		members[m] = vs.Original(m)
+	members := make([][]float32, len(fields))
+	for m, f := range fields {
+		members[m] = f.Data
 	}
 	rep.AddBenchmark("rmsz/scores-full-ensemble", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -31,13 +31,6 @@ type ChunkDecoder interface {
 	DecodeChunks(compressed []byte, chunk []float32, yield func(off int, vals []float32) error) error
 }
 
-// Chunked reports whether c decodes natively chunked (without a whole-field
-// fallback buffer).
-func Chunked(c Codec) bool {
-	_, ok := c.(ChunkDecoder)
-	return ok
-}
-
 // DecodeChunks streams the reconstructed values of compressed through
 // yield, using c's native chunk decoder when it has one and a pooled
 // whole-field fallback otherwise. See ChunkDecoder for the contract.

@@ -27,7 +27,7 @@ func TestFallbackChunksContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compress.Chunked(c) {
+	if _, ok := c.(compress.ChunkDecoder); ok {
 		t.Fatalf("nc unexpectedly implements ChunkDecoder; fallback untested")
 	}
 	shape := compress.Shape{NLev: 2, NLat: 5, NLon: 13}
@@ -127,7 +127,7 @@ func TestFillMaskChunkedNative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compress.Chunked(compress.WithFill(inner, 7)) {
+	if _, ok := compress.WithFill(inner, 7).(compress.ChunkDecoder); !ok {
 		t.Fatalf("fill-masked codec should implement ChunkDecoder")
 	}
 }

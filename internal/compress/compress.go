@@ -68,9 +68,9 @@ const (
 	IDGRIB2      byte = 5
 	IDFillMask   byte = 6
 	IDRaw        byte = 7
-	IDParallel   byte = 8
-	IDRaw64      byte = 9
-	IDTsBlob     byte = 10
+	// 8 was the retired chunked parallel container; do not reuse it.
+	IDRaw64  byte = 9
+	IDTsBlob byte = 10
 )
 
 // headerSize is the encoded size of a Header.
@@ -169,14 +169,4 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// StudyVariants returns the paper's nine evaluated lossy variants in the
-// order of Tables 3–6.
-func StudyVariants() []string {
-	return []string{
-		"grib2", "apax-2", "apax-4", "apax-5",
-		"fpzip-24", "fpzip-16",
-		"isa-0.1", "isa-0.5", "isa-1.0",
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"climcompress/internal/compress"
-	"climcompress/internal/compress/parallel"
 )
 
 // TestCorruptionNeverPanics feeds every registered codec truncated and
@@ -28,9 +27,6 @@ func TestCorruptionNeverPanics(t *testing.T) {
 			t.Fatal(err)
 		}
 		codecs[name] = c
-	}
-	if p, err := parallel.FromRegistry("fpzip-24", 2, 1); err == nil {
-		codecs["parallel(fpzip-24)"] = p
 	}
 
 	for name, c := range codecs {

@@ -13,7 +13,6 @@ import (
 	_ "climcompress/internal/compress/grib2"
 	_ "climcompress/internal/compress/isabela"
 	_ "climcompress/internal/compress/nclossless"
-	"climcompress/internal/compress/parallel"
 	_ "climcompress/internal/compress/tsblob"
 )
 
@@ -44,33 +43,32 @@ func goldenField(n int) []float32 {
 // append-style API existed. CompressInto and Compress must both still
 // produce exactly these bytes.
 var goldenHashes = map[string]string{
-	"apax-2":             "6c85b153b650a6e7dcb4465bb24501be17ef31ecf789281ba5d8b98ad2731f74",
-	"apax-4":             "1db0126c6a3aafff0e86662d49e7dcc8d091d427b4e136e7bc2867b653ae6438",
-	"apax-5":             "c49827e992877d3762a865f60e2ce2561061fed30c2e9e1eeaeda9e13918a907",
-	"apax-6":             "4ceef237fcdfdea0d5aae048ce96474c508f961a3396a073f846695a3329c47c",
-	"apax-7":             "657e698bf58a541e405b49a51f4de759c9ec35286a0b19acef72a8e0be043410",
-	"fpzip-16":           "f5ba5cfd4e50cbc6face16116171715fbd5d433302ec25db2ba09aad34092beb",
-	"fpzip-16-prev":      "ca58683fef079a6b37df6dc6fd9b07a2772106c6a3a0e4cdc81d63c3577d2583",
-	"fpzip-24":           "1dbffdf391f25a979f6c5bae26a150197f93db916e2c87a5179fd7386f065458",
-	"fpzip-24-3d":        "0d354199334b0e8bb0bd5acf5df6de597d4ccaa624678dd0595780b7f13e5df2",
-	"fpzip-32":           "d692f71279d843553485c8386115ad0d004d1524ad2ea23149399018b9b68d2c",
-	"fpzip-8":            "57ccf3345deb1d7da46fd4206ab1a43408db99147aec774061b32428aa95f960",
-	"fpzip64-48":         "8acda36cd3426ffed533b006f8b7407f86e755d80186f5933b9bb9913371e937",
-	"fpzip64-64":         "482e07462b804011f7256a9072db870f186b6c250f32e08ed7721ef58ba0a8e1",
-	"grib2":              "fe19508e5861e02a4d1246710873061a900833f3390a8d4062002d4c40e25103",
-	"grib2-simple":       "85646b4b020f58b89ee371010b3939c20d992420323326b55eb98fcb51e6cbb5",
-	"isa-0.1":            "03b07f778afca906ecc2ab6c34862e617f27bb3fe9576f305a4ae1f4cb124182",
-	"isa-0.5":            "049e9de564555d4f29049250c0e2e0700d534b2129138b35016eb66e01da64b2",
-	"isa-1":              "3c06f9ca4e44e2f60ae1f5a77a5a10c04695de762429f702a6772687fb345c93",
-	"nc":                 "3a09971bd4232e758a8e98704401673b6b01732d8e6f01e81003a52c514f2ed9",
-	"nc-noshuffle":       "df244dcee8a60371a1eab744614b15ac38a38672bfa9659103f507b0ec59d17b",
-	"parallel(fpzip-24)": "523a38c7d88b2abd0a74ed0d898a540d78b4241293de5e47329ce5ab6ffc5897",
-	"nc+fill":            "6a333892746a80033128ca0234bebcea948af95d5a1131dd47b1cf8d1b39e2d8",
-	"tsblob":             "37b2dd645044e765ee1bb75a9a59b82b5e2028949082e2844b5b94cac0c3526f",
+	"apax-2":        "6c85b153b650a6e7dcb4465bb24501be17ef31ecf789281ba5d8b98ad2731f74",
+	"apax-4":        "1db0126c6a3aafff0e86662d49e7dcc8d091d427b4e136e7bc2867b653ae6438",
+	"apax-5":        "c49827e992877d3762a865f60e2ce2561061fed30c2e9e1eeaeda9e13918a907",
+	"apax-6":        "4ceef237fcdfdea0d5aae048ce96474c508f961a3396a073f846695a3329c47c",
+	"apax-7":        "657e698bf58a541e405b49a51f4de759c9ec35286a0b19acef72a8e0be043410",
+	"fpzip-16":      "f5ba5cfd4e50cbc6face16116171715fbd5d433302ec25db2ba09aad34092beb",
+	"fpzip-16-prev": "ca58683fef079a6b37df6dc6fd9b07a2772106c6a3a0e4cdc81d63c3577d2583",
+	"fpzip-24":      "1dbffdf391f25a979f6c5bae26a150197f93db916e2c87a5179fd7386f065458",
+	"fpzip-24-3d":   "0d354199334b0e8bb0bd5acf5df6de597d4ccaa624678dd0595780b7f13e5df2",
+	"fpzip-32":      "d692f71279d843553485c8386115ad0d004d1524ad2ea23149399018b9b68d2c",
+	"fpzip-8":       "57ccf3345deb1d7da46fd4206ab1a43408db99147aec774061b32428aa95f960",
+	"fpzip64-48":    "8acda36cd3426ffed533b006f8b7407f86e755d80186f5933b9bb9913371e937",
+	"fpzip64-64":    "482e07462b804011f7256a9072db870f186b6c250f32e08ed7721ef58ba0a8e1",
+	"grib2":         "fe19508e5861e02a4d1246710873061a900833f3390a8d4062002d4c40e25103",
+	"grib2-simple":  "85646b4b020f58b89ee371010b3939c20d992420323326b55eb98fcb51e6cbb5",
+	"isa-0.1":       "03b07f778afca906ecc2ab6c34862e617f27bb3fe9576f305a4ae1f4cb124182",
+	"isa-0.5":       "049e9de564555d4f29049250c0e2e0700d534b2129138b35016eb66e01da64b2",
+	"isa-1":         "3c06f9ca4e44e2f60ae1f5a77a5a10c04695de762429f702a6772687fb345c93",
+	"nc":            "3a09971bd4232e758a8e98704401673b6b01732d8e6f01e81003a52c514f2ed9",
+	"nc-noshuffle":  "df244dcee8a60371a1eab744614b15ac38a38672bfa9659103f507b0ec59d17b",
+	"nc+fill":       "6a333892746a80033128ca0234bebcea948af95d5a1131dd47b1cf8d1b39e2d8",
+	"tsblob":        "37b2dd645044e765ee1bb75a9a59b82b5e2028949082e2844b5b94cac0c3526f",
 }
 
 // goldenCodecs returns every codec under test by name: the registry plus the
-// parallel and fill-masked wrappers.
+// fill-masked wrapper.
 func goldenCodecs(t *testing.T) map[string]compress.Codec {
 	t.Helper()
 	codecs := make(map[string]compress.Codec)
@@ -81,11 +79,6 @@ func goldenCodecs(t *testing.T) map[string]compress.Codec {
 		}
 		codecs[name] = c
 	}
-	p, err := parallel.FromRegistry("fpzip-24", 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codecs["parallel(fpzip-24)"] = p
 	nc, err := compress.New("nc")
 	if err != nil {
 		t.Fatal(err)
@@ -254,90 +247,4 @@ func TestIntoSteadyStateAllocs(t *testing.T) {
 				tc.name, allocs, tc.maxDecompress)
 		}
 	}
-}
-
-// TestParallelIntoCorrupt drives the parallel chunk format's corruption
-// handling through the append API: truncations and frame damage must error
-// (or decode to the right length), never panic, and never scribble outside
-// the caller's buffer.
-func TestParallelIntoCorrupt(t *testing.T) {
-	p, err := parallel.FromRegistry("fpzip-24", 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape := compress.Shape{NLev: 3, NLat: 16, NLon: 24}
-	data := goldenField(shape.Len())
-	buf, err := p.CompressInto(nil, data, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	decode := func(stream []byte, what string) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("panic on %s: %v", what, r)
-			}
-		}()
-		dst := make([]float32, shape.Len())
-		out, err := p.DecompressInto(dst[:0:len(dst)], stream)
-		if err == nil && len(out) != shape.Len() {
-			t.Fatalf("%s: decoded wrong length %d", what, len(out))
-		}
-	}
-
-	// Truncations at every structural boundary of the frame: header, chunk
-	// parameter, chunk count, length table, and mid-payload.
-	for _, n := range []int{0, 5, 13, 14, 17, 18, 21, len(buf) / 2, len(buf) - 1} {
-		if n > len(buf) {
-			continue
-		}
-		decode(buf[:n], "truncation")
-	}
-	// Oversized chunk count.
-	bad := append([]byte(nil), buf...)
-	bad[14] = 0xff
-	bad[15] = 0xff
-	decode(bad, "chunk count corruption")
-	// Length table pointing past the payload.
-	bad = append([]byte(nil), buf...)
-	bad[18] = 0xff
-	bad[19] = 0xff
-	decode(bad, "length corruption")
-	// A chunk whose inner stream claims a larger shape than its slab must
-	// not overwrite neighbouring chunks: clip is enforced by capacity.
-	inner, err := compress.New("fpzip-24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigShape := compress.Shape{NLev: 3, NLat: 16, NLon: 24}
-	bigStream, err := inner.Compress(goldenField(bigShape.Len()), bigShape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decode(spliceChunk(t, buf, bigStream), "oversized inner chunk")
-}
-
-// spliceChunk replaces the first chunk payload of a parallel stream with the
-// given inner stream, fixing up the length table.
-func spliceChunk(t *testing.T, buf, inner []byte) []byte {
-	t.Helper()
-	if len(buf) < 18 {
-		t.Fatal("parallel stream too short to splice")
-	}
-	nchunks := int(uint32(buf[14]) | uint32(buf[15])<<8 | uint32(buf[16])<<16 | uint32(buf[17])<<24)
-	table := 18
-	payload := table + 4*nchunks
-	first := int(uint32(buf[table]) | uint32(buf[table+1])<<8 | uint32(buf[table+2])<<16 | uint32(buf[table+3])<<24)
-	out := append([]byte(nil), buf[:table]...)
-	var l [4]byte
-	l[0] = byte(len(inner))
-	l[1] = byte(len(inner) >> 8)
-	l[2] = byte(len(inner) >> 16)
-	l[3] = byte(len(inner) >> 24)
-	out = append(out, l[:]...)
-	out = append(out, buf[table+4:payload]...)
-	out = append(out, inner...)
-	out = append(out, buf[payload+first:]...)
-	return out
 }

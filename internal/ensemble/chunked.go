@@ -1,9 +1,10 @@
-// Chunked scoring accumulators for the fused verification path: the RMSZ
-// and masked-mean reductions consume reconstructed values chunk by chunk as
-// they decode, so no full reconstructed field exists on that path. Each
-// accumulator replicates the per-point arithmetic and accumulation order of
-// its whole-field counterpart (scoreRMSZ, MaskedMean), so the scores are
-// bit-identical — pinned by the equivalence tests.
+// Chunked scoring accumulators: the RMSZ and masked-mean reductions consume
+// values chunk by chunk, so the fused verification path scores
+// reconstructions as they decode and no full reconstructed field exists on
+// that path. The whole-field forms (scoreRMSZ, MaskedMean) are one Push.
+// Accumulation order is the point index order whatever the chunking, so the
+// scores do not depend on chunk sizes — pinned against whole-field
+// reference loops by the equivalence tests.
 
 package ensemble
 
@@ -15,11 +16,12 @@ import (
 	"climcompress/internal/stats"
 )
 
-// RMSZAccumulator is the streaming form of ScoreRMSZ: chunks of the scored
-// data (with the matching chunk of the excluded member's original values)
-// are pushed in ascending contiguous order, and Finish returns the eq. 6–7
-// RMSZ. Out-of-order or mismatched pushes poison the accumulator and
-// Finish returns NaN, like ScoreRMSZ on a length mismatch.
+// RMSZAccumulator computes the eq. 6–7 RMSZ of scored data against the
+// leave-one-out statistics of the sub-ensemble that excludes one member:
+// chunks of the scored data (with the matching chunk of the excluded
+// member's original values) are pushed in ascending contiguous order, and
+// Finish returns the score. Out-of-order or mismatched pushes poison the
+// accumulator and Finish returns NaN.
 type RMSZAccumulator struct {
 	mo   *stats.Moments
 	mask []bool
@@ -53,8 +55,11 @@ func (a *RMSZAccumulator) Push(excl, vals []float32, off int) {
 		if mask != nil && mask[i] {
 			continue
 		}
-		// Same inlined leave-one-out moments as scoreRMSZ, operation for
-		// operation.
+		// Leave-one-out moments, inlined from stats.Moments.Excluding with
+		// identical operation order. n < 2 is the σ = NaN case; vr == 0 is
+		// the zero-spread case; both skip the point, so masked fill points
+		// and zero-spread points (including constant sub-ensembles) are
+		// excluded from the mean, as a NaN-free eq. 7 requires.
 		n := int(cnts[i]) - 1
 		if n < 2 {
 			continue
@@ -76,8 +81,8 @@ func (a *RMSZAccumulator) Push(excl, vals []float32, off int) {
 }
 
 // Finish returns the RMSZ over the pushed chunks. npoints is the expected
-// field size; a short or poisoned accumulation returns NaN, matching
-// ScoreRMSZ's length check.
+// field size; a short or poisoned accumulation returns NaN, and so does a
+// field with no valid points.
 func (a *RMSZAccumulator) Finish(npoints int) float64 {
 	if a.bad || a.total != npoints || a.cnt == 0 {
 		return math.NaN()
@@ -85,7 +90,7 @@ func (a *RMSZAccumulator) Finish(npoints int) float64 {
 	return math.Sqrt(a.sum / float64(a.cnt))
 }
 
-// MeanAccumulator is the streaming form of MaskedMean.
+// MeanAccumulator averages values over non-masked points, chunk by chunk.
 type MeanAccumulator struct {
 	mask []bool
 	sum  float64
@@ -125,14 +130,14 @@ func (a *MeanAccumulator) Finish() float64 {
 	return a.sum / float64(a.n)
 }
 
-// RMSZScoresChunked is RMSZScoresStream over an ensemble supplied chunk by
-// chunk: decode(m, yield) streams member m's reconstructed values in
-// ascending contiguous chunks (the compress.DecodeChunks contract). Pass A
-// folds each member's chunks into the moments serially in member order —
-// the exact fold order of the materialized RMSZScores, so the moments (and
-// scores) are bit-identical; pass B re-decodes each member in parallel and
+// RMSZScoresChunked is RMSZScores over an ensemble supplied chunk by chunk:
+// decode(m, yield) streams member m's values in ascending contiguous chunks
+// (the compress.DecodeChunks contract). Pass A folds each member's chunks
+// into the moments serially in member order, so every point accumulates
+// members in index order; pass B re-decodes each member in parallel and
 // self-scores it. No full member field is ever materialized, and at most
-// O(workers) chunk buffers are live. A decode error aborts and is returned.
+// O(workers) chunk buffers are live. A decode error aborts and is returned,
+// and so does a member that does not cover exactly npoints points.
 func RMSZScoresChunked(nm, npoints int, fillMask []bool, decode func(m int, yield func(off int, vals []float32) error) error) ([]float64, error) {
 	if nm == 0 {
 		return nil, nil
@@ -160,8 +165,7 @@ func RMSZScoresChunked(nm, npoints int, fillMask []bool, decode func(m int, yiel
 		var acc RMSZAccumulator
 		acc.Reset(mo, fillMask)
 		err := decode(m, func(off int, vals []float32) error {
-			// Self-scoring: the scored values are also the excluded ones,
-			// exactly like RMSZScoresStream's scoreRMSZ(mo, data, data, mask).
+			// Self-scoring: the scored values are also the excluded ones.
 			acc.Push(vals, vals, off)
 			return nil
 		})

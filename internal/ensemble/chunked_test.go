@@ -46,12 +46,12 @@ func TestRMSZAccumulatorMatchesScore(t *testing.T) {
 	n := len(members[0])
 	mo := stats.NewMoments(n)
 	for _, d := range members {
-		mo.AddMember(d, mask, 0, n)
+		addMember(mo, d, mask, 0, n)
 	}
 	recon := make([]float32, n)
 	copy(recon, members[4])
 	recon[11] += 0.05 // perturb so the score is nontrivial
-	want := scoreRMSZ(mo, members[4], recon, mask)
+	want := referenceScoreRMSZ(mo, members[4], recon, mask)
 	for _, step := range []int{1, 13, 100, 1000} {
 		var acc RMSZAccumulator
 		acc.Reset(mo, mask)
@@ -82,7 +82,10 @@ func TestMeanAccumulatorMatchesMaskedMean(t *testing.T) {
 	members, mask := chunkedEnsemble(3, 57)
 	data := members[0]
 	for _, m := range [][]bool{mask, nil} {
-		want := MaskedMean(data, m)
+		want := referenceMaskedMean(data, m)
+		if got := MaskedMean(data, m); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("mask=%v: MaskedMean %v != %v", m != nil, got, want)
+		}
 		for _, step := range []int{1, 8, 57} {
 			var acc MeanAccumulator
 			acc.Reset(m)
@@ -100,11 +103,11 @@ func TestMeanAccumulatorMatchesMaskedMean(t *testing.T) {
 }
 
 // TestRMSZScoresChunkedMatchesStream pins the fused bias-test scores
-// against the streamed (and therefore materialized) implementation.
+// against the member-by-member reference implementation.
 func TestRMSZScoresChunkedMatchesStream(t *testing.T) {
 	members, mask := chunkedEnsemble(7, 90)
 	n := len(members[0])
-	want := RMSZScoresStream(len(members), n, mask, func(m int) ([]float32, func()) {
+	want := referenceRMSZScoresStream(len(members), n, mask, func(m int) ([]float32, func()) {
 		return members[m], func() {}
 	})
 	for _, step := range []int{1, 17, 4096} {

@@ -14,7 +14,6 @@
 package ensemble
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -31,9 +30,9 @@ type Source interface {
 	Field(varIdx, member int) *field.Field
 }
 
-// VarStats holds one variable's ensemble statistics. It retains references
-// to the member data (not copies) because the verification tests need the
-// original values when scoring reconstructions.
+// VarStats holds one variable's ensemble statistics. It holds no member
+// data: the verification tests re-acquire a member's original values from
+// the source the statistics were built from (AcquireOriginal).
 type VarStats struct {
 	Name    string
 	NPoints int // stored points (including fill positions)
@@ -52,10 +51,7 @@ type VarStats struct {
 	min1m      []int32
 	max1m      []int32
 
-	orig [][]float32 // member data, indexed [member][point]; nil when streamed
-
-	// Streamed-build handle: member data is re-acquired from src on demand
-	// (AcquireOriginal) instead of being retained in orig.
+	// Member data is re-acquired from src on demand (AcquireOriginal).
 	src    Source
 	varIdx int
 	nm     int
@@ -78,84 +74,26 @@ func CollectFields(src Source, varIdx int) []*field.Field {
 	return out
 }
 
-// ReleaseFields returns the fields' data buffers to the shared scratch
-// pool. Call only when the fields — and any VarStats built from them — are
-// no longer referenced.
-func ReleaseFields(fields []*field.Field) {
-	for _, f := range fields {
-		if f != nil {
-			f.Release()
-		}
-	}
-}
-
 // pointGrain is the minimum per-worker slice of points for parallel
 // per-point stages; small enough to balance, large enough to amortize.
 const pointGrain = 4096
 
 // Build computes the ensemble statistics for one variable from its member
-// fields (as produced by CollectFields). The fields' data slices are
-// retained by the returned VarStats.
+// fields (as produced by CollectFields). It is BuildStream over the given
+// fields. The caller keeps ownership of them and must not release them
+// while the statistics are in use: AcquireOriginal hands out their data
+// slices.
 func Build(fields []*field.Field) (*VarStats, error) {
-	if len(fields) < 3 {
-		return nil, fmt.Errorf("ensemble: need at least 3 members, got %d", len(fields))
-	}
-	f0 := fields[0]
-	n := f0.Len()
-	nm := len(fields)
-	vs := &VarStats{
-		Name:    f0.Name,
-		NPoints: n,
-		HasFill: f0.HasFill,
-		Fill:    f0.Fill,
-		Mom:     stats.NewMoments(n),
-		min1:    make([]float32, n),
-		min2:    make([]float32, n),
-		max1:    make([]float32, n),
-		max2:    make([]float32, n),
-		min1m:   make([]int32, n),
-		max1m:   make([]int32, n),
-
-		orig: make([][]float32, nm),
-		nm:   nm,
-	}
-	vs.allocPerMember()
-	vs.FillMask = make([]bool, n)
-	if vs.HasFill {
-		for i := 0; i < n; i++ {
-			//lint:floateq fill values are exact bit-pattern sentinels copied verbatim, never computed
-			vs.FillMask[i] = f0.Data[i] == f0.Fill
-		}
-	}
-	for m, f := range fields {
-		if f.Len() != n {
-			return nil, fmt.Errorf("ensemble: member %d has %d points, want %d", m, f.Len(), n)
-		}
-		vs.orig[m] = f.Data
-	}
-
-	// Stage 1: per-member summaries, independent across members.
-	par.Each(nm, func(m int) error {
-		s := fields[m].Summarize()
-		vs.RangePerMember[m] = s.Range
-		vs.GlobalMean[m] = fields[m].GlobalMean()
-		vs.ValidMean[m] = MaskedMean(fields[m].Data, vs.FillMask)
-		return nil
-	})
-
-	// Stage 2: per-point aggregates (moments and running two-extremes) over
-	// disjoint point ranges. Each worker folds members in index order, so
-	// the accumulated sums match the serial loop bit for bit.
-	par.Ranges(n, pointGrain, vs.accumulateRange)
-
-	// Stage 3: RMSZ (eq. 7) and E_nmax (eq. 10), independent across members.
-	par.Each(nm, func(m int) error {
-		vs.RMSZ[m] = vs.RMSZOf(m, vs.orig[m])
-		vs.Enmax[m] = vs.enmaxData(m, vs.orig[m])
-		return nil
-	})
-	return vs, nil
+	return buildStream(fieldSource(fields), 0, -1, nil)
 }
+
+// fieldSource serves already materialized member fields. The caller owns
+// them, so Release leaves them alone.
+type fieldSource []*field.Field
+
+func (s fieldSource) Members() int                { return len(s) }
+func (s fieldSource) Field(_, m int) *field.Field { return s[m] }
+func (fieldSource) Release(*field.Field)          {}
 
 // allocPerMember carves the five per-member vectors out of one backing
 // array (they are fixed-size and never appended to).
@@ -167,13 +105,6 @@ func (vs *VarStats) allocPerMember() {
 	vs.RMSZ = per[2*nm : 3*nm : 3*nm]
 	vs.Enmax = per[3*nm : 4*nm : 4*nm]
 	vs.ValidMean = per[4*nm : 5*nm : 5*nm]
-}
-
-// accumulateRange folds every member's values in [lo, hi) into the
-// per-point aggregates.
-func (vs *VarStats) accumulateRange(lo, hi int) {
-	vs.initExtremes(lo, hi)
-	vs.foldRange(vs.orig, 0, lo, hi)
 }
 
 // initExtremes resets the running two-extreme trackers over [lo, hi). Must
@@ -229,37 +160,15 @@ func (vs *VarStats) foldRange(members [][]float32, base, lo, hi int) {
 // Members returns the ensemble size.
 func (vs *VarStats) Members() int { return vs.nm }
 
-// Original returns member m's original data (shared, do not modify). Only
-// valid for materialized builds; streamed builds use AcquireOriginal.
-func (vs *VarStats) Original(m int) []float32 { return vs.orig[m] }
-
-// Streamed reports whether this VarStats was built without retaining member
-// data (BuildStream); callers must then use AcquireOriginal instead of
-// Original.
-func (vs *VarStats) Streamed() bool { return vs.orig == nil }
-
 // AcquireOriginal returns member m's original data plus a release func the
-// caller must invoke when done with the slice. Materialized builds hand out
-// the retained slice with a no-op release; streamed builds regenerate the
-// member from the source (deterministic, so bit-identical to the build
-// pass) and release it back to its pool.
+// caller must invoke when done with the slice. The member comes from the
+// source the statistics were built from: Build hands out the caller's
+// field with a no-op release, and BuildStream regenerates the member
+// (deterministic, so bit-identical to the build pass) and releases it back
+// to its source.
 func (vs *VarStats) AcquireOriginal(m int) ([]float32, func()) {
-	if vs.orig != nil {
-		return vs.orig[m], func() {}
-	}
 	f := vs.src.Field(vs.varIdx, m)
 	return f.Data, func() { releaseField(vs.src, f) }
-}
-
-// ScoreRMSZ scores data (typically a reconstruction of member exclude's
-// values) against the leave-one-out statistics of {E \ exclude}. It is
-// RMSZOf for callers that already hold the excluded member's original data —
-// required in streamed mode, where orig is not retained.
-func (vs *VarStats) ScoreRMSZ(exclude, data []float32) float64 {
-	if len(data) != vs.NPoints {
-		return math.NaN()
-	}
-	return scoreRMSZ(vs.Mom, exclude, data, vs.FillMask)
 }
 
 // RMSZOf computes the RMSZ score (eqs. 6–7) of the given data against the
@@ -276,44 +185,16 @@ func (vs *VarStats) RMSZOf(m int, data []float32) float64 {
 	return scoreRMSZ(vs.Mom, orig, data, vs.FillMask)
 }
 
-// scoreRMSZ is the shared eq. 6–7 scoring loop: Z-scores of data against
-// the leave-one-out statistics of mo with exclude's values removed.
-// Masked fill points and points with zero ensemble spread (σ = 0, which
-// includes constant sub-ensembles) contribute nothing — they are excluded
-// from the mean, exactly as a NaN-free implementation of eq. 7 requires —
-// and a variable with no valid points at all scores NaN.
+// scoreRMSZ is the eq. 6–7 score of data against the leave-one-out
+// statistics of mo with exclude's values removed: the RMSZAccumulator fed
+// the whole field as one chunk. Masked fill points and points with zero
+// ensemble spread contribute nothing, and a variable with no valid points
+// at all scores NaN.
 func scoreRMSZ(mo *stats.Moments, exclude, data []float32, mask []bool) float64 {
-	cnts, sums, sumsqs := mo.N, mo.Sum, mo.SumSq
-	var sum float64
-	var cnt int
-	for i, v := range data {
-		if mask != nil && mask[i] {
-			continue
-		}
-		// Leave-one-out moments, inlined from stats.Moments.Excluding with
-		// identical operation order. n < 2 is the σ = NaN case; vr == 0 is
-		// the zero-spread case; both skip the point.
-		n := int(cnts[i]) - 1
-		if n < 2 {
-			continue
-		}
-		x := float64(exclude[i])
-		s := sums[i] - x
-		ss := sumsqs[i] - x*x
-		mean := s / float64(n)
-		vr := (ss - s*s/float64(n)) / float64(n-1)
-		if !(vr > 0) { // zero spread, negative cancellation, or NaN input
-			continue
-		}
-		std := math.Sqrt(vr)
-		z := (float64(v) - mean) / std
-		sum += z * z
-		cnt++
-	}
-	if cnt == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(sum / float64(cnt))
+	var a RMSZAccumulator
+	a.Reset(mo, mask)
+	a.Push(exclude, data, 0)
+	return a.Finish(len(data))
 }
 
 // enmaxData computes eq. 10 for member m (whose values are data): the
@@ -395,45 +276,30 @@ func (vs *VarStats) SigmaMedian() float64 {
 // RMSZScores computes the eq. 7 RMSZ of every member of an arbitrary
 // ensemble of data arrays against that ensemble's own leave-one-out
 // statistics. The paper's bias test applies this to the fully reconstructed
-// ensemble Ẽ ("substituting Ẽ for E"). fillMask marks points to skip.
+// ensemble Ẽ ("substituting Ẽ for E"). fillMask marks points to skip. It is
+// RMSZScoresChunked with each member yielded whole; members of differing
+// lengths yield nil.
 func RMSZScores(members [][]float32, fillMask []bool) []float64 {
 	if len(members) == 0 {
 		return nil
 	}
-	// The ensemble is already materialized, so fold it directly instead of
-	// going through RMSZScoresStream's chunked acquire/release machinery —
-	// same fold order per point, so the moments (and scores) are
-	// bit-identical, without the per-chunk bookkeeping allocations.
-	n := len(members[0])
-	mo := stats.NewMoments(n)
-	par.Ranges(n, pointGrain, func(lo, hi int) {
-		for _, data := range members {
-			mo.AddMember(data, fillMask, lo, hi)
-		}
-	})
-	out := make([]float64, len(members))
-	par.Each(len(members), func(m int) error {
-		out[m] = scoreRMSZ(mo, members[m], members[m], fillMask)
+	out, err := RMSZScoresChunked(len(members), len(members[0]), fillMask,
+		func(m int, yield func(off int, vals []float32) error) error {
+			return yield(0, members[m])
+		})
+	if err != nil {
 		return nil
-	})
+	}
 	return out
 }
 
 // MaskedMean averages data over non-masked points (mask may be nil). This is
 // the unweighted global mean of the CESM-PVT range-shift screen; VarStats
-// precomputes it per member as ValidMean.
+// precomputes it per member as ValidMean. It is MeanAccumulator fed the
+// whole field as one chunk.
 func MaskedMean(data []float32, mask []bool) float64 {
-	var sum float64
-	var n int
-	for i, v := range data {
-		if mask != nil && mask[i] {
-			continue
-		}
-		sum += float64(v)
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
+	var a MeanAccumulator
+	a.Reset(mask)
+	a.Push(data, 0)
+	return a.Finish()
 }

@@ -10,7 +10,7 @@ import (
 	"climcompress/internal/par"
 )
 
-// TestReleaseFieldsDoubleReleaseSafe: releasing a field set twice must be a
+// TestReleaseFieldsDoubleReleaseSafe: releasing a field twice must be a
 // no-op the second time — in particular it must not insert the same buffer
 // into the scratch pool twice, which would hand one slice to two concurrent
 // consumers. The pattern-stamping consumers below (plus the race detector)
@@ -25,8 +25,10 @@ func TestReleaseFieldsDoubleReleaseSafe(t *testing.T) {
 		}
 	}
 	n := fields[0].Len()
-	ReleaseFields(fields)
-	ReleaseFields(fields) // must be a no-op: Data is already nil
+	for _, f := range fields {
+		f.Release()
+		f.Release() // must be a no-op: Data is already nil
+	}
 	for _, f := range fields {
 		if f.Data != nil {
 			t.Fatal("Release left Data non-nil")
@@ -123,9 +125,9 @@ func TestStreamedBuildUnderPoolChurn(t *testing.T) {
 					b[j] = float32(w)
 				}
 				par.PutFloats(b)
-				junk := []*field.Field{field.New("J", "1", grid.Test(), false)}
-				ReleaseFields(junk)
-				ReleaseFields(junk)
+				junk := field.New("J", "1", grid.Test(), false)
+				junk.Release()
+				junk.Release()
 			}
 		}(w)
 	}

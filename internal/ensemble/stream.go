@@ -3,7 +3,8 @@
 // member fields per variable drop from the ensemble size (101 at paper
 // scale) to a small multiple of the worker-pool width. Per-point aggregates
 // fold members in index order regardless of chunking, so every statistic is
-// bit-identical to the materialized Build path.
+// independent of the chunk size. Build runs the same code over fields the
+// caller already holds.
 
 package ensemble
 
@@ -42,7 +43,7 @@ func chunkSize() int {
 	return 1
 }
 
-// BuildStream computes the same ensemble statistics as Build without ever
+// BuildStream computes the ensemble statistics of one variable without ever
 // holding more than O(workers) member fields. Two passes over the (assumed
 // deterministic) source:
 //
@@ -57,26 +58,13 @@ func BuildStream(src Source, varIdx int) (*VarStats, error) {
 	return buildStream(src, varIdx, -1, nil)
 }
 
-// BuildStreamWithScores is BuildStream with the second pass short-circuited
-// by previously computed per-member RMSZ and E_nmax vectors (e.g. decoded
-// from an artifact cache keyed on the same inputs). Both must have exactly
-// Members() entries; otherwise they are ignored and pass 2 runs normally.
-func BuildStreamWithScores(src Source, varIdx int, rmsz, enmax []float64) (*VarStats, error) {
-	n := len(rmsz)
-	if len(enmax) != n {
-		return buildStream(src, varIdx, -1, nil)
-	}
-	return buildStream(src, varIdx, n, func(m int) (float64, float64) {
-		return rmsz[m], enmax[m]
-	})
-}
-
-// BuildStreamWithScoresFunc is BuildStreamWithScores with the vectors
-// supplied lazily: score(m) returns member m's (RMSZ, E_nmax) pair, and
-// nscores declares how many members it covers. It lets callers feed
-// scores straight from a zero-copy cache record view without
-// materializing slices. When nscores differs from Members(), score is
-// never called and pass 2 runs normally.
+// BuildStreamWithScoresFunc is BuildStream with the second pass
+// short-circuited by previously computed per-member scores (e.g. decoded
+// from an artifact cache keyed on the same inputs): score(m) returns member
+// m's (RMSZ, E_nmax) pair, and nscores declares how many members it covers.
+// It lets callers feed scores straight from a zero-copy cache record view
+// without materializing slices. When nscores differs from Members(), score
+// is never called and pass 2 runs normally.
 func BuildStreamWithScoresFunc(src Source, varIdx, nscores int, score func(m int) (float64, float64)) (*VarStats, error) {
 	return buildStream(src, varIdx, nscores, score)
 }
@@ -188,46 +176,4 @@ func newStreamStats(f0 *field.Field, src Source, varIdx, nm int) *VarStats {
 		}
 	}
 	return vs
-}
-
-// RMSZScoresStream is RMSZScores over an ensemble supplied member-by-member:
-// acquire(m) returns member m's data plus a release func. Pass A folds
-// chunks of members (acquired in parallel, folded in member order) into the
-// moments; pass B re-acquires each member and scores it. At most O(workers)
-// member buffers are live at any moment, and the result is bit-identical to
-// RMSZScores over the materialized ensemble.
-func RMSZScoresStream(nm, npoints int, fillMask []bool, acquire func(m int) ([]float32, func())) []float64 {
-	if nm == 0 {
-		return nil
-	}
-	mo := stats.NewMoments(npoints)
-	chunk := chunkSize()
-	for base := 0; base < nm; base += chunk {
-		end := base + chunk
-		if end > nm {
-			end = nm
-		}
-		data := make([][]float32, end-base)
-		rel := make([]func(), end-base)
-		par.Each(len(data), func(j int) error {
-			data[j], rel[j] = acquire(base + j)
-			return nil
-		})
-		par.Ranges(npoints, pointGrain, func(lo, hi int) {
-			for _, d := range data {
-				mo.AddMember(d, fillMask, lo, hi)
-			}
-		})
-		for _, r := range rel {
-			r()
-		}
-	}
-	out := make([]float64, nm)
-	par.Each(nm, func(m int) error {
-		data, release := acquire(m)
-		out[m] = scoreRMSZ(mo, data, data, fillMask)
-		release()
-		return nil
-	})
-	return out
 }

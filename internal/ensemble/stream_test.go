@@ -90,20 +90,24 @@ func eqF64(t *testing.T, label string, a, b []float64) {
 	}
 }
 
+// TestBuildStreamBitIdentical checks that stats built from caller-owned
+// fields and from a regenerating source agree bit for bit. Build folds one
+// member per chunk and BuildStream three, so it also pins that the
+// statistics do not depend on the chunking.
 func TestBuildStreamBitIdentical(t *testing.T) {
+	defer par.SetWidth(0)
 	for _, withFill := range []bool{false, true} {
 		src := &streamSource{g: grid.Test(), nm: 13, withFill: withFill}
 		fields := src.materialize(0)
+		par.SetWidth(1)
 		want, err := Build(fields)
 		if err != nil {
 			t.Fatal(err)
 		}
+		par.SetWidth(3)
 		got, err := BuildStream(src, 0)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !got.Streamed() || want.Streamed() {
-			t.Fatal("Streamed flags wrong")
 		}
 		if got.Members() != want.Members() || got.NPoints != want.NPoints {
 			t.Fatal("shape mismatch")
@@ -173,19 +177,20 @@ func TestAcquireOriginalStreamed(t *testing.T) {
 		t.Fatal("release not tracked")
 	}
 
-	// Materialized stats hand out the retained slice with a no-op release.
+	// Stats built from caller-owned fields hand out the caller's slice, and
+	// releasing it must leave the field alone.
 	fields := src.materialize(3)
 	mvs, err := Build(fields)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2, rel2 := mvs.AcquireOriginal(2)
-	if &d2[0] != &mvs.Original(2)[0] {
-		t.Fatal("materialized acquire must alias Original")
+	if &d2[0] != &fields[2].Data[0] {
+		t.Fatal("acquire on Build stats must alias the caller's field")
 	}
 	rel2()
-	if mvs.Original(2) == nil {
-		t.Fatal("no-op release mutated stats")
+	if fields[2].Data == nil {
+		t.Fatal("release on Build stats released the caller's field")
 	}
 }
 
@@ -205,22 +210,23 @@ func TestRMSZScoresStreamMatchesSerial(t *testing.T) {
 	n := len(members[0])
 	mo := stats.NewMoments(n)
 	for _, data := range members {
-		mo.AddMember(data, mask, 0, n)
+		addMember(mo, data, mask, 0, n)
 	}
 	want := make([]float64, len(members))
 	for m := range members {
-		want[m] = scoreRMSZ(mo, members[m], members[m], mask)
+		want[m] = referenceScoreRMSZ(mo, members[m], members[m], mask)
 	}
 
 	eqF64(t, "RMSZScores", want, RMSZScores(members, mask))
 
-	acquires := 0
-	got := RMSZScoresStream(len(members), n, mask, func(m int) ([]float32, func()) {
-		acquires++
+	// acquire runs on the worker pool, so the counter must be atomic.
+	var acquires atomic.Int64
+	got := referenceRMSZScoresStream(len(members), n, mask, func(m int) ([]float32, func()) {
+		acquires.Add(1)
 		return members[m], func() {}
 	})
 	eqF64(t, "RMSZScoresStream", want, got)
-	if acquires < 2*len(members) {
-		t.Fatalf("expected two acquire passes, saw %d acquires", acquires)
+	if a := acquires.Load(); a < int64(2*len(members)) {
+		t.Fatalf("expected two acquire passes, saw %d acquires", a)
 	}
 }

@@ -243,8 +243,7 @@ func (r *Runner) varIndex(name string) (int, error) {
 // build rather than duplicating the member generation. Statistics are built
 // through the streaming pipeline: member fields flow through the worker
 // pool in chunks and are released immediately, so peak residency is
-// O(workers) fields rather than O(members), and results are bit-identical
-// to the materialized build.
+// O(workers) fields rather than O(members).
 func (r *Runner) VarStatsFor(name string) (*ensemble.VarStats, error) {
 	r.mu.Lock()
 	e, ok := r.varStats[name]

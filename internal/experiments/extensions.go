@@ -366,8 +366,7 @@ func (r *Runner) GradientReport() (string, error) {
 		shape := r.shapeFor(spec)
 		// Fused: the reconstruction streams through the 2-row-halo gradient
 		// comparer, so neither the reconstructed field nor the two gradient-
-		// magnitude fields of the whole-field path are materialized. Finish
-		// is bit-identical to GradientCompare (equivalence-tested).
+		// magnitude fields are materialized.
 		var buf []byte
 		for _, variant := range Variants() {
 			codec, err := r.CodecFor(variant, spec, nil, f.Summarize().Range)

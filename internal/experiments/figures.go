@@ -100,7 +100,7 @@ func (r *Runner) featuredRecon(name string) (*featuredRecon, error) {
 		// into the streaming RMSZ and error accumulators (the excluded
 		// member of the RMSZ score is the acquired original, as before), so
 		// no reconstructed field is materialized on natively chunked
-		// variants. Scores stay bit-identical to the ScoreRMSZ/Compare pair.
+		// variants.
 		var rz, en []float64
 		var buf []byte
 		var cmp metrics.Comparer

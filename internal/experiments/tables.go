@@ -153,11 +153,9 @@ func (r *Runner) computeErrorVariable(idx int) (map[string]ErrorEntry, error) {
 		summary := f.Summarize()
 		shape := r.shapeFor(spec)
 		// Fused sweep: one stream buffer serves every variant, and each
-		// reconstruction decodes chunk by chunk straight
-		// into the streaming Comparer — the error measures are bit-identical
-		// to Compare over a materialized reconstruction (the chunk pushes
-		// replicate its index order), but no reconstructed field exists on
-		// natively chunked variants.
+		// reconstruction decodes chunk by chunk straight into the streaming
+		// Comparer, so no reconstructed field exists on natively chunked
+		// variants.
 		var buf []byte
 		var cmp metrics.Comparer
 		for _, variant := range missing {

@@ -4,16 +4,17 @@ import (
 	"math"
 )
 
-// Comparer is the streaming form of Compare: the fused verification path
+// Comparer is the §4.2 comparison kernel: the fused verification path
 // pushes reconstructed values chunk by chunk as they decode, and Finish
-// folds the accumulated moments into Errors. Accumulation happens in the
-// same index order with the same per-point expression sequence as Compare,
-// so the result is bit-identical — the golden equivalence test pins this.
+// folds the accumulated moments into Errors. Compare is one whole-field
+// Push. Accumulation order is the point index order whatever the chunking,
+// so the result does not depend on chunk sizes — the golden equivalence
+// test pins it against a whole-field reference loop.
 //
 // Chunks must arrive in strictly increasing contiguous index order (Push
 // with off equal to the count of points pushed so far); out-of-order or
 // mismatched pushes poison the Comparer and Finish returns the NaN-filled
-// Errors, exactly like Compare on mismatched inputs.
+// Errors. So does a comparison with no valid (non-fill) points.
 type Comparer struct {
 	fill    float32
 	hasFill bool
@@ -104,8 +105,7 @@ func (c *Comparer) Push(orig, recon []float32, off int) {
 // Total returns the number of points pushed so far.
 func (c *Comparer) Total() int { return c.total }
 
-// Finish folds the accumulated moments into Errors, mirroring Compare's
-// post-loop arithmetic expression for expression.
+// Finish folds the accumulated moments into Errors.
 func (c *Comparer) Finish() Errors {
 	if c.bad || c.total == 0 || c.n == 0 {
 		nan := math.NaN()

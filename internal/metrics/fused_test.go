@@ -1,4 +1,4 @@
-package metrics_test
+package metrics
 
 import (
 	"fmt"
@@ -13,7 +13,6 @@ import (
 	_ "climcompress/internal/compress/isabela"
 	_ "climcompress/internal/compress/nclossless"
 	_ "climcompress/internal/compress/tsblob"
-	"climcompress/internal/metrics"
 )
 
 const testFill = float32(9.96921e36)
@@ -61,7 +60,7 @@ func fusedCodecs(t *testing.T) map[string]compress.Codec {
 	return out
 }
 
-func errorsBits(e metrics.Errors) [8]uint64 {
+func errorsBits(e Errors) [8]uint64 {
 	return [8]uint64{
 		math.Float64bits(e.EMax), math.Float64bits(e.ENMax),
 		math.Float64bits(e.RMSE), math.Float64bits(e.NRMSE),
@@ -73,7 +72,7 @@ func errorsBits(e metrics.Errors) [8]uint64 {
 // TestFusedEquivalence pins the tentpole invariant: for every codec family
 // and field character, the chunked decode yields exactly the materialized
 // reconstruction, and the streaming Comparer/GradientComparer produce
-// bit-identical Errors to Compare/GradientCompare. Wired into make verify
+// bit-identical Errors to the one-shot reference loops. Wired into make verify
 // by name.
 func TestFusedEquivalence(t *testing.T) {
 	fields := fusedFields()
@@ -94,8 +93,8 @@ func TestFusedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: decompress: %v", cname, fname, err)
 			}
-			wantCmp := metrics.Compare(orig, recon, testFill, true)
-			wantGrad := metrics.GradientCompare(orig, recon, fusedShape.NLev, fusedShape.NLat, fusedShape.NLon, testFill, true)
+			wantCmp := referenceCompare(orig, recon, testFill, true)
+			wantGrad := referenceGradientCompare(orig, recon, fusedShape.NLev, fusedShape.NLat, fusedShape.NLon, testFill, true)
 			for _, cl := range chunkLens {
 				t.Run(fmt.Sprintf("%s/%s/chunk%d", cname, fname, cl), func(t *testing.T) {
 					var chunk []float32
@@ -103,9 +102,9 @@ func TestFusedEquivalence(t *testing.T) {
 						chunk = make([]float32, cl)
 					}
 					got := make([]float32, 0, len(orig))
-					var cmp metrics.Comparer
+					var cmp Comparer
 					cmp.Reset(testFill, true)
-					gc := metrics.NewGradientComparer(orig, fusedShape.NLev, fusedShape.NLat, fusedShape.NLon, testFill, true)
+					gc := NewGradientComparer(orig, fusedShape.NLev, fusedShape.NLat, fusedShape.NLon, testFill, true)
 					err := compress.DecodeChunks(c, buf, chunk, func(off int, vals []float32) error {
 						if off != len(got) {
 							return fmt.Errorf("offset %d, want %d", off, len(got))
@@ -149,7 +148,7 @@ func TestCompareAllFillNaN(t *testing.T) {
 		{testFill, testFill, testFill, testFill}, // faithful fill reconstruction
 		{testFill, 1.5, testFill, testFill},      // fill point lost => transient Inf EMax
 	} {
-		e := metrics.Compare(orig, recon, testFill, true)
+		e := referenceCompare(orig, recon, testFill, true)
 		for name, v := range map[string]float64{
 			"EMax": e.EMax, "ENMax": e.ENMax, "RMSE": e.RMSE, "NRMSE": e.NRMSE,
 			"PSNR": e.PSNR, "Pearson": e.Pearson, "Range": e.Range,
@@ -161,7 +160,7 @@ func TestCompareAllFillNaN(t *testing.T) {
 		if e.N != 0 {
 			t.Errorf("all-fill Compare N = %d, want 0", e.N)
 		}
-		var cmp metrics.Comparer
+		var cmp Comparer
 		cmp.Reset(testFill, true)
 		cmp.Push(orig[:2], recon[:2], 0)
 		cmp.Push(orig[2:], recon[2:], 2)

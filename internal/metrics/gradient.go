@@ -8,9 +8,7 @@ import (
 // magnitude: cur is the row being differentiated, prev/next its clamped
 // vertical neighbors (aliases of cur at the slab edges), and dyDen the
 // vertical denominator (2 in the interior, 1 at edges and single-row
-// slabs). Both the whole-field GradientMagnitude and the streaming
-// GradientComparer run through it, so their arithmetic is shared by
-// construction.
+// slabs). GradientComparer runs every row through it.
 func gradientRow(dst, prev, cur, next []float32, cols, dyDen int, fill float32, hasFill bool) {
 	for c := 0; c < cols; c++ {
 		v := cur[c]
@@ -41,64 +39,9 @@ func gradientRow(dst, prev, cur, next []float32, cols, dyDen int, fill float32, 
 	}
 }
 
-// GradientMagnitude computes the centered-difference horizontal gradient
-// magnitude of each rows×cols slab of a (levs, rows, cols) field. One-sided
-// differences are used at the edges; points adjacent to fill values inherit
-// the fill sentinel.
-func GradientMagnitude(data []float32, levs, rows, cols int, fill float32, hasFill bool) []float32 {
-	out := make([]float32, len(data))
-	for lev := 0; lev < levs; lev++ {
-		base := lev * rows * cols
-		for r := 0; r < rows; r++ {
-			r0, r1 := r-1, r+1
-			if r0 < 0 {
-				r0 = r
-			}
-			if r1 >= rows {
-				r1 = r
-			}
-			cur := data[base+r*cols : base+(r+1)*cols]
-			prev := data[base+r0*cols : base+(r0+1)*cols]
-			next := data[base+r1*cols : base+(r1+1)*cols]
-			dst := out[base+r*cols : base+(r+1)*cols]
-			gradientRow(dst, prev, cur, next, cols, r1-r0+boolInt(r1 == r0), fill, hasFill)
-		}
-	}
-	return out
-}
-
 func boolInt(b bool) int {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// GradientCompare evaluates how well a reconstruction preserves horizontal
-// field gradients — the paper's §6 plan ("extend our verification metrics
-// to evaluate the impact of compression ... on field gradients"). It
-// compares the gradient-magnitude fields of original and reconstruction
-// with the standard §4.2 measures.
-func GradientCompare(orig, recon []float32, levs, rows, cols int, fill float32, hasFill bool) Errors {
-	if len(orig) != len(recon) || len(orig) != levs*rows*cols {
-		return Compare(nil, nil, fill, hasFill) // NaN-filled
-	}
-	gFill := fill
-	go1 := GradientMagnitude(orig, levs, rows, cols, fill, hasFill)
-	go2 := GradientMagnitude(recon, levs, rows, cols, fill, hasFill)
-	// Gradient fields mark edge-of-mask points as fill; compare with the
-	// union of both masks by copying orig's fill marks into recon's field.
-	if hasFill {
-		for i := range go1 {
-			//lint:floateq fill values are exact bit-pattern sentinels copied verbatim, never computed
-			if go1[i] == gFill && go2[i] != gFill {
-				go2[i] = gFill
-			}
-			//lint:floateq fill values are exact bit-pattern sentinels copied verbatim, never computed
-			if go2[i] == gFill && go1[i] != gFill {
-				go1[i] = gFill
-			}
-		}
-	}
-	return Compare(go1, go2, gFill, hasFill)
 }

@@ -14,7 +14,7 @@ func TestGradientMagnitudeLinearRamp(t *testing.T) {
 			data[r*cols+c] = float32(3 * c)
 		}
 	}
-	g := GradientMagnitude(data, 1, rows, cols, 0, false)
+	g := gradientMagnitude(data, 1, rows, cols, 0, false)
 	for i, v := range g {
 		if math.Abs(float64(v)-3) > 1e-6 {
 			t.Fatalf("gradient at %d = %v, want 3", i, v)
@@ -31,7 +31,7 @@ func TestGradientMagnitudeDiagonal(t *testing.T) {
 			data[r*cols+c] = float32(r + c)
 		}
 	}
-	g := GradientMagnitude(data, 1, rows, cols, 0, false)
+	g := gradientMagnitude(data, 1, rows, cols, 0, false)
 	want := math.Sqrt2
 	for i, v := range g {
 		if math.Abs(float64(v)-want) > 1e-6 {
@@ -45,7 +45,7 @@ func TestGradientMagnitudeConstant(t *testing.T) {
 	for i := range data {
 		data[i] = 7
 	}
-	g := GradientMagnitude(data, 1, 6, 6, 0, false)
+	g := gradientMagnitude(data, 1, 6, 6, 0, false)
 	for i, v := range g {
 		if v != 0 {
 			t.Fatalf("constant field gradient at %d = %v", i, v)
@@ -61,7 +61,7 @@ func TestGradientFillPropagation(t *testing.T) {
 		data[i] = float32(i)
 	}
 	data[2*cols+2] = fill
-	g := GradientMagnitude(data, 1, rows, cols, fill, true)
+	g := gradientMagnitude(data, 1, rows, cols, fill, true)
 	// The fill point itself and its 4-neighbors become fill.
 	for _, idx := range []int{2*cols + 2, 1*cols + 2, 3*cols + 2, 2*cols + 1, 2*cols + 3} {
 		if g[idx] != fill {
@@ -74,13 +74,21 @@ func TestGradientFillPropagation(t *testing.T) {
 	}
 }
 
+// gradientCompare runs the streaming GradientComparer over recon pushed as
+// one whole-field chunk.
+func gradientCompare(orig, recon []float32, levs, rows, cols int, fill float32, hasFill bool) Errors {
+	g := NewGradientComparer(orig, levs, rows, cols, fill, hasFill)
+	g.Push(recon, 0)
+	return g.Finish()
+}
+
 func TestGradientCompareIdentical(t *testing.T) {
 	rows, cols := 16, 16
 	data := make([]float32, rows*cols)
 	for i := range data {
 		data[i] = float32(math.Sin(float64(i) / 9))
 	}
-	e := GradientCompare(data, data, 1, rows, cols, 0, false)
+	e := gradientCompare(data, data, 1, rows, cols, 0, false)
 	if e.EMax != 0 || e.Pearson != 1 {
 		t.Fatalf("identical gradients should be exact: %+v", e)
 	}
@@ -103,7 +111,7 @@ func TestGradientCompareSensitiveToHighFreqNoise(t *testing.T) {
 		}
 	}
 	val := Compare(orig, recon, 0, false)
-	grad := GradientCompare(orig, recon, 1, rows, cols, 0, false)
+	grad := gradientCompare(orig, recon, 1, rows, cols, 0, false)
 	if grad.NRMSE <= val.NRMSE*5 {
 		t.Fatalf("gradient NRMSE %v should dwarf value NRMSE %v for alternating noise",
 			grad.NRMSE, val.NRMSE)
@@ -111,7 +119,7 @@ func TestGradientCompareSensitiveToHighFreqNoise(t *testing.T) {
 }
 
 func TestGradientCompareMismatched(t *testing.T) {
-	e := GradientCompare(make([]float32, 4), make([]float32, 9), 1, 3, 3, 0, false)
+	e := gradientCompare(make([]float32, 4), make([]float32, 9), 1, 3, 3, 0, false)
 	if !math.IsNaN(e.RMSE) {
 		t.Fatal("mismatched sizes should yield NaN")
 	}

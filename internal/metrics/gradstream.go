@@ -1,13 +1,18 @@
 package metrics
 
-// GradientComparer is the streaming form of GradientCompare: reconstructed
-// values arrive chunk by chunk, and only a 3-row ring of the reconstruction
-// (the centered-difference halo) plus two gradient-row scratch buffers are
-// held — never the two full gradient-magnitude fields the whole-field path
-// materializes. Rows are emitted into an inner Comparer in the same
-// row-major order, through the same gradientRow kernel and the same
-// per-point mask union as GradientCompare, so Finish is bit-identical to
-// it — pinned by the golden equivalence test.
+// GradientComparer evaluates how well a reconstruction preserves horizontal
+// field gradients — the paper's §6 plan ("extend our verification metrics
+// to evaluate the impact of compression ... on field gradients"). It
+// compares the centered-difference gradient-magnitude fields of original and
+// reconstruction with the standard §4.2 measures. Points adjacent to fill
+// values inherit the fill sentinel, and the comparison runs under the union
+// of both fields' fill marks.
+//
+// Reconstructed values arrive chunk by chunk, and only a 3-row ring of the
+// reconstruction (the centered-difference halo) plus two gradient-row
+// scratch buffers are held — never the two full gradient-magnitude fields.
+// Rows are emitted into an inner Comparer in row-major order, so Finish is
+// bit-identical to the whole-field reference loop kept in the tests.
 type GradientComparer struct {
 	orig             []float32
 	levs, rows, cols int
@@ -24,7 +29,7 @@ type GradientComparer struct {
 // NewGradientComparer prepares a streaming gradient comparison of a
 // reconstruction against orig, a (levs, rows, cols) field. A mismatched
 // orig length poisons the comparer, and Finish returns the NaN-filled
-// Errors exactly like GradientCompare on mismatched inputs.
+// Errors.
 func NewGradientComparer(orig []float32, levs, rows, cols int, fill float32, hasFill bool) *GradientComparer {
 	g := &GradientComparer{
 		orig: orig, levs: levs, rows: rows, cols: cols,
@@ -104,7 +109,7 @@ func (g *GradientComparer) emit(lev, e int) {
 	rring := func(r int) []float32 { return g.ring[(r%3)*cols : (r%3+1)*cols] }
 	gradientRow(g.g2, rring(r0), rring(e), rring(r1), cols, dyDen, g.fill, g.hasFill)
 	if g.hasFill {
-		// Same union as GradientCompare: compare under both masks.
+		// Compare under the union of both fill masks.
 		gFill := g.fill
 		for i := range g.g1 {
 			//lint:floateq fill values are exact bit-pattern sentinels copied verbatim, never computed
@@ -120,8 +125,7 @@ func (g *GradientComparer) emit(lev, e int) {
 	g.cmp.Push(g.g1, g.g2, base+e*cols)
 }
 
-// Finish returns the §4.2 measures over the gradient fields, bit-identical
-// to GradientCompare on the materialized reconstruction.
+// Finish returns the §4.2 measures over the gradient fields.
 func (g *GradientComparer) Finish() Errors {
 	if g.bad || g.total != g.levs*g.rows*g.cols {
 		return Compare(nil, nil, g.fill, g.hasFill) // NaN-filled

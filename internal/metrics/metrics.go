@@ -26,92 +26,12 @@ type Errors struct {
 // Compare computes all §4.2 measures between orig and recon. Points whose
 // original value equals fill are excluded when hasFill is set. A fill
 // point that is not reconstructed as fill counts as an infinite error.
+// It is the streaming Comparer fed the whole field as one chunk.
 func Compare(orig, recon []float32, fill float32, hasFill bool) Errors {
-	var e Errors
-	if len(orig) != len(recon) || len(orig) == 0 {
-		nan := math.NaN()
-		return Errors{EMax: nan, ENMax: nan, RMSE: nan, NRMSE: nan, PSNR: nan, Pearson: nan, Range: nan}
-	}
-	var (
-		minX, maxX   = math.Inf(1), math.Inf(-1)
-		sumX, sumY   float64
-		sumXX, sumYY float64
-		sumXY        float64
-		sumSq        float64
-		identical    = true
-	)
-	for i := range orig {
-		//lint:floateq fill values are exact bit-pattern sentinels copied verbatim, never computed
-		if hasFill && orig[i] == fill {
-			//lint:floateq fill values are exact bit-pattern sentinels copied verbatim, never computed
-			if recon[i] != fill {
-				e.EMax = math.Inf(1)
-			}
-			continue
-		}
-		x := float64(orig[i])
-		y := float64(recon[i])
-		d := x - y
-		if ad := math.Abs(d); ad > e.EMax {
-			e.EMax = ad
-		}
-		sumSq += d * d
-		if x < minX {
-			minX = x
-		}
-		if x > maxX {
-			maxX = x
-		}
-		sumX += x
-		sumY += y
-		sumXX += x * x
-		sumYY += y * y
-		sumXY += x * y
-		//lint:floateq intentional exact comparison: detects bit-identical reconstruction, where correlation is defined as 1
-		if x != y {
-			identical = false
-		}
-		e.N++
-	}
-	if e.N == 0 {
-		nan := math.NaN()
-		return Errors{EMax: nan, ENMax: nan, RMSE: nan, NRMSE: nan, PSNR: nan, Pearson: nan, Range: nan}
-	}
-	n := float64(e.N)
-	e.Range = maxX - minX
-	e.RMSE = math.Sqrt(sumSq / n)
-	if e.Range > 0 {
-		e.ENMax = e.EMax / e.Range
-		e.NRMSE = e.RMSE / e.Range
-		if e.RMSE > 0 {
-			e.PSNR = 20 * math.Log10(e.Range/e.RMSE)
-		} else {
-			e.PSNR = math.Inf(1)
-		}
-	} else {
-		// Constant field: normalized measures are 0 when exact, +Inf when
-		// any error exists.
-		if e.EMax == 0 {
-			e.ENMax, e.NRMSE = 0, 0
-			e.PSNR = math.Inf(1)
-		} else {
-			e.ENMax, e.NRMSE = math.Inf(1), math.Inf(1)
-			e.PSNR = 0
-		}
-	}
-	// Pearson ρ (eq. 5) from the accumulated moments.
-	vx := sumXX - sumX*sumX/n
-	vy := sumYY - sumY*sumY/n
-	cov := sumXY - sumX*sumY/n
-	switch {
-	case identical:
-		e.Pearson = 1
-	case vx <= 0 || vy <= 0:
-		e.Pearson = math.NaN()
-	default:
-		e.Pearson = cov / math.Sqrt(vx*vy)
-	}
-	return e
+	var c Comparer
+	c.Reset(fill, hasFill)
+	c.Push(orig, recon, 0)
+	return c.Finish()
 }
 
 // CorrelationThreshold is the acceptance threshold for ρ used throughout

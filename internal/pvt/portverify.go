@@ -58,7 +58,7 @@ func PortVerify(vs *ensemble.VarStats, newRuns [][]float32) (PortResult, error) 
 	}
 	// Trusted ensemble's global means, computed with the same statistic
 	// applied to the new runs (unweighted valid-point mean, precomputed by
-	// the build — works for both materialized and streamed statistics).
+	// the build).
 	gm := vs.ValidMean
 	res.MeanBox = stats.NewBoxplot(gm)
 	// Slack mirrors the compression RMSZ test: a run statistically

@@ -124,184 +124,24 @@ func SelectTestMembers(n, k int, seed uint64) []int {
 }
 
 // Verify compresses and reconstructs the ensemble with the codec and runs
-// the four tests. Statistics from a streamed build (ensemble.BuildStream)
-// take the bounded-memory path: member originals are re-acquired on demand
-// and only the compressed streams — a small fraction of the raw data — are
-// retained across stages, so peak residency stays O(workers) instead of
-// O(members). Both paths produce bit-identical Results.
+// the four tests. Stage 1 compresses every needed member from a
+// re-acquired original, retaining only the compressed stream — a small
+// fraction of the raw data — so peak residency stays O(workers) instead of
+// O(members). Stages 2–3 (check) decode each stream chunk by chunk straight
+// into the streaming metric accumulators; on natively chunked codecs no
+// reconstructed field is ever materialized — peak residency per member is
+// one DefaultChunkLen chunk. CPU profile samples carry "stage" labels
+// (decode / metrics / rmsz).
 func (v *Verifier) Verify(codec compress.Codec) (Result, error) {
 	vs := v.Stats
 	nm := vs.Members()
 	if nm == 0 {
 		return Result{}, fmt.Errorf("pvt: empty ensemble")
 	}
-	testMembers := v.TestMembers
-	if len(testMembers) == 0 {
-		testMembers = SelectTestMembers(nm, 3, 12345)
-	}
-	if vs.Streamed() {
-		return v.verifyStream(codec, testMembers)
-	}
-
-	res := Result{
-		Variable:    vs.Name,
-		Codec:       codec.Name(),
-		RMSZBox:     vs.RMSZBox(),
-		EnmaxSpread: vs.EnmaxRange(),
-	}
+	testMembers := v.testMembers()
 
 	// Which members must be reconstructed? All of them for the bias test,
 	// otherwise only the test members.
-	needed := testMembers
-	if v.WithBias {
-		needed = make([]int, nm)
-		for i := range needed {
-			needed[i] = i
-		}
-	}
-
-	recon := make([][]float32, nm)
-	crs := make([]float64, nm)
-	errs := make([]error, nm)
-	// Reconstruction buffers are only needed within this call (the Result
-	// keeps derived scores, never the raw data), so hand them back to the
-	// shared scratch pool on every exit path.
-	defer func() {
-		for _, out := range recon {
-			if out != nil {
-				par.PutFloats(out)
-			}
-		}
-	}()
-	par.EachLimit(len(needed), v.Workers, func(j int) error {
-		m := needed[j]
-		data := vs.Original(m)
-		// The compressed stream is a per-iteration intermediate; the Into
-		// paths let each worker recycle one stream buffer and write the
-		// reconstruction straight into a pooled field buffer.
-		buf, err := compress.CompressInto(codec, compress.GetBytes(len(data)), data, v.Shape)
-		if err != nil {
-			compress.PutBytes(buf)
-			errs[m] = err
-			return nil
-		}
-		crs[m] = compress.Ratio(len(buf), len(data))
-		out, err := compress.DecompressInto(codec, par.GetFloats(len(data)), buf)
-		compress.PutBytes(buf)
-		if err != nil {
-			par.PutFloats(out)
-			errs[m] = err
-			return nil
-		}
-		recon[m] = out
-		return nil
-	})
-	for _, m := range needed {
-		if errs[m] != nil {
-			return Result{}, fmt.Errorf("pvt: %s member %d: %w", codec.Name(), m, errs[m])
-		}
-	}
-
-	// Per-test-member checks.
-	res.RhoPass, res.RMSZPass, res.EnmaxPass = true, true, true
-	for _, m := range testMembers {
-		e := metrics.Compare(vs.Original(m), recon[m], vs.Fill, vs.HasFill)
-		rz := vs.RMSZOf(m, recon[m])
-		chk := MemberCheck{
-			Member:    m,
-			Errors:    e,
-			RMSZOrig:  vs.RMSZ[m],
-			RMSZRecon: rz,
-			CR:        crs[m],
-		}
-		res.Checks = append(res.Checks, chk)
-		if !e.PassesCorrelation() {
-			res.RhoPass = false
-		}
-		// Within-distribution check with a 1% slack of the distribution
-		// range: when a test member happens to hold the extreme RMSZ, any
-		// infinitesimal positive shift would otherwise land "outside" even
-		// though the distribution is statistically unchanged. Eq. 8 remains
-		// the binding criterion.
-		slack := 0.01 * res.RMSZBox.Range()
-		within := rz >= res.RMSZBox.Min-slack && rz <= res.RMSZBox.Max+slack
-		if math.IsNaN(rz) || !within ||
-			math.Abs(rz-vs.RMSZ[m]) > v.Thr.RMSZDiff {
-			res.RMSZPass = false
-		}
-		if res.EnmaxSpread <= 0 || math.IsNaN(e.ENMax) ||
-			e.ENMax/res.EnmaxSpread > v.Thr.EnmaxRatio {
-			res.EnmaxPass = false
-		}
-	}
-
-	// Bias test over the full reconstructed ensemble Ẽ.
-	if v.WithBias {
-		res.ReconRMSZ = ensemble.RMSZScores(recon, vs.FillMask)
-		res.Bias = stats.LinearFit(vs.RMSZ, res.ReconRMSZ)
-		res.BiasPass = !math.IsNaN(res.Bias.Slope) &&
-			res.Bias.SlopeWorstCaseDistance() <= v.Thr.SlopeDistance
-		var sum float64
-		for _, cr := range crs {
-			sum += cr
-		}
-		res.MeanCR = sum / float64(nm)
-	} else {
-		res.SkippedBias = true
-		res.BiasPass = true
-		var sum float64
-		for _, m := range testMembers {
-			sum += crs[m]
-		}
-		res.MeanCR = sum / float64(len(testMembers))
-	}
-
-	// Range-shift screen: reconstructed test members' global (unweighted,
-	// valid-point) means must fall within the ensemble's distribution
-	// (precomputed as ValidMean during the build).
-	gmBox := stats.NewBoxplot(vs.ValidMean)
-	res.RangeOK = true
-	for _, m := range testMembers {
-		if !rangeShiftOK(gmBox, ensemble.MaskedMean(recon[m], vs.FillMask)) {
-			res.RangeOK = false
-		}
-	}
-
-	res.AllPass = res.RhoPass && res.RMSZPass && res.EnmaxPass && res.BiasPass
-	return res, nil
-}
-
-// rangeShiftOK reports whether a reconstructed member's global mean sits
-// inside the ensemble's distribution, tolerating float rounding at the box
-// edges.
-func rangeShiftOK(gmBox stats.Boxplot, rm float64) bool {
-	if gmBox.Contains(rm) {
-		return true
-	}
-	slack := 1e-9 * (math.Abs(gmBox.Max) + 1)
-	return rm >= gmBox.Min-slack && rm <= gmBox.Max+slack
-}
-
-// verifyStream is Verify for streamed ensemble statistics, running the
-// fused verification kernels. Stage 1 compresses every needed member from a
-// re-acquired original, retaining only the compressed stream; stage 2
-// chunk-decodes each test member straight into the streaming metric
-// accumulators (Comparer, RMSZAccumulator, MeanAccumulator); stage 3 feeds
-// the bias regression through the chunked RMSZ reduction. On natively
-// chunked codecs no reconstructed field is ever materialized — peak
-// residency per member is one DefaultChunkLen chunk — and the Result stays
-// bit-identical to Verify's materialized path (pinned by the stream tests).
-// CPU profile samples carry "stage" labels (decode / metrics / rmsz).
-func (v *Verifier) verifyStream(codec compress.Codec, testMembers []int) (Result, error) {
-	vs := v.Stats
-	nm := vs.Members()
-	res := Result{
-		Variable:    vs.Name,
-		Codec:       codec.Name(),
-		RMSZBox:     vs.RMSZBox(),
-		EnmaxSpread: vs.EnmaxRange(),
-	}
-
 	needed := testMembers
 	if v.WithBias {
 		needed = make([]int, nm)
@@ -341,15 +181,54 @@ func (v *Verifier) verifyStream(codec compress.Codec, testMembers []int) (Result
 		}
 	}
 
-	// Stage 2: fused per-test-member checks — each member's compressed
-	// stream decodes chunk by chunk straight into the streaming metric
-	// accumulators, so no reconstructed field is ever materialized. The
-	// accumulators replicate Compare/ScoreRMSZ/MaskedMean in index order,
-	// keeping the Result bit-identical to the materialized path.
 	// An empty chunk buffer lets each decoder pick its cheapest shape:
-	// native chunk decoders stream through their own pooled buffer, and
-	// the whole-field fallback yields direct windows of its internal
+	// native chunk decoders stream through their own pooled buffer, and the
+	// whole-field fallback yields direct windows of its internal
 	// reconstruction instead of copying every window out.
+	return v.check(codec.Name(), testMembers, crs, v.WithBias,
+		func(m int, yield func(off int, vals []float32) error) error {
+			return compress.DecodeChunks(codec, streams[m], nil, yield)
+		})
+}
+
+// testMembers returns the members verified individually.
+func (v *Verifier) testMembers() []int {
+	if len(v.TestMembers) == 0 {
+		return SelectTestMembers(v.Stats.Members(), 3, 12345)
+	}
+	return v.TestMembers
+}
+
+// rangeShiftOK reports whether a reconstructed member's global mean sits
+// inside the ensemble's distribution, tolerating float rounding at the box
+// edges.
+func rangeShiftOK(gmBox stats.Boxplot, rm float64) bool {
+	if gmBox.Contains(rm) {
+		return true
+	}
+	slack := 1e-9 * (math.Abs(gmBox.Max) + 1)
+	return rm >= gmBox.Min-slack && rm <= gmBox.Max+slack
+}
+
+// check runs the tests over reconstructions supplied by decode, which
+// streams member m's reconstructed values through yield in ascending
+// contiguous chunks (the compress.DecodeChunks contract). Stage 2 feeds
+// each test member into the streaming metric accumulators (Comparer,
+// RMSZAccumulator, MeanAccumulator); stage 3, when withBias, feeds every
+// member through the chunked RMSZ reduction for the bias regression, each
+// member decoding twice (moments pass, then self-scoring pass). crs holds
+// each member's compression ratio, zero when unknown.
+func (v *Verifier) check(name string, testMembers []int, crs []float64, withBias bool, decode func(m int, yield func(off int, vals []float32) error) error) (Result, error) {
+	vs := v.Stats
+	nm := vs.Members()
+	res := Result{
+		Variable:    vs.Name,
+		Codec:       name,
+		RMSZBox:     vs.RMSZBox(),
+		EnmaxSpread: vs.EnmaxRange(),
+	}
+
+	// Stage 2: per-test-member checks.
 	gmBox := stats.NewBoxplot(vs.ValidMean)
 	res.RhoPass, res.RMSZPass, res.EnmaxPass, res.RangeOK = true, true, true, true
 	var cmp metrics.Comparer
@@ -362,7 +241,7 @@ func (v *Verifier) verifyStream(codec compress.Codec, testMembers []int) (Result
 		meanAcc.Reset(vs.FillMask)
 		var err error
 		withStage("decode", func() {
-			err = compress.DecodeChunks(codec, streams[m], nil, func(off int, vals []float32) error {
+			err = decode(m, func(off int, vals []float32) error {
 				if off+len(vals) > len(data) {
 					return fmt.Errorf("%w: chunk [%d,%d) outside field of %d points", compress.ErrCorrupt, off, off+len(vals), len(data))
 				}
@@ -375,7 +254,7 @@ func (v *Verifier) verifyStream(codec compress.Codec, testMembers []int) (Result
 		})
 		release()
 		if err != nil {
-			return Result{}, fmt.Errorf("pvt: %s member %d: %w", codec.Name(), m, err)
+			return Result{}, fmt.Errorf("pvt: %s member %d: %w", name, m, err)
 		}
 		withStage("metrics", func() {
 			e := cmp.Finish()
@@ -390,6 +269,11 @@ func (v *Verifier) verifyStream(codec compress.Codec, testMembers []int) (Result
 			if !e.PassesCorrelation() {
 				res.RhoPass = false
 			}
+			// Within-distribution check with a 1% slack of the distribution
+			// range: when a test member happens to hold the extreme RMSZ, any
+			// infinitesimal positive shift would otherwise land "outside"
+			// even though the distribution is statistically unchanged. Eq. 8
+			// remains the binding criterion.
 			slack := 0.01 * res.RMSZBox.Range()
 			within := rz >= res.RMSZBox.Min-slack && rz <= res.RMSZBox.Max+slack
 			if math.IsNaN(rz) || !within || math.Abs(rz-vs.RMSZ[m]) > v.Thr.RMSZDiff {
@@ -399,23 +283,24 @@ func (v *Verifier) verifyStream(codec compress.Codec, testMembers []int) (Result
 				e.ENMax/res.EnmaxSpread > v.Thr.EnmaxRatio {
 				res.EnmaxPass = false
 			}
+			// Range-shift screen: the reconstruction's global (unweighted,
+			// valid-point) mean must fall within the ensemble's distribution
+			// (precomputed as ValidMean during the build).
 			if !rangeShiftOK(gmBox, meanAcc.Finish()) {
 				res.RangeOK = false
 			}
 		})
 	}
 
-	// Stage 3: bias over the reconstructed ensemble Ẽ, fused — each member
-	// decodes twice (moments pass, then self-scoring pass) chunk by chunk
-	// into the RMSZ accumulators.
-	if v.WithBias {
+	// Stage 3: bias test over the full reconstructed ensemble Ẽ.
+	if withBias {
 		var scores []float64
 		var err error
 		withStage("rmsz", func() {
 			scores, err = ensemble.RMSZScoresChunked(nm, vs.NPoints, vs.FillMask,
 				func(m int, yield func(off int, vals []float32) error) error {
-					if derr := compress.DecodeChunks(codec, streams[m], nil, yield); derr != nil {
-						return fmt.Errorf("pvt: %s member %d: %w", codec.Name(), m, derr)
+					if derr := decode(m, yield); derr != nil {
+						return fmt.Errorf("pvt: %s member %d: %w", name, m, derr)
 					}
 					return nil
 				})
@@ -449,52 +334,28 @@ func (v *Verifier) verifyStream(codec compress.Codec, testMembers []int) (Result
 // VerifyData runs the four tests against externally produced
 // reconstructions of every ensemble member — e.g. data decompressed by
 // another tool and read back from files — rather than compressing with a
-// Codec. recon must hold one reconstruction per member; CRs are unknown to
-// this path and reported as zero.
+// Codec. recon must hold one reconstruction per member; each is fed to the
+// same checks as Verify as one whole-field chunk. The bias test always
+// runs, CRs are unknown to this path and reported as zero, and the
+// range-shift screen is not applied (RangeOK is always true).
 func (v *Verifier) VerifyData(name string, recon [][]float32) (Result, error) {
 	vs := v.Stats
 	nm := vs.Members()
 	if len(recon) != nm {
 		return Result{}, fmt.Errorf("pvt: %d reconstructions for %d members", len(recon), nm)
 	}
-	testMembers := v.TestMembers
-	if len(testMembers) == 0 {
-		testMembers = SelectTestMembers(nm, 3, 12345)
-	}
-	res := Result{
-		Variable:    vs.Name,
-		Codec:       name,
-		RMSZBox:     vs.RMSZBox(),
-		EnmaxSpread: vs.EnmaxRange(),
-	}
-	res.RhoPass, res.RMSZPass, res.EnmaxPass = true, true, true
-	for _, m := range testMembers {
-		if len(recon[m]) != vs.NPoints {
-			return Result{}, fmt.Errorf("pvt: reconstruction %d has %d points, want %d", m, len(recon[m]), vs.NPoints)
+	for m, r := range recon {
+		if len(r) != vs.NPoints {
+			return Result{}, fmt.Errorf("pvt: reconstruction %d has %d points, want %d", m, len(r), vs.NPoints)
 		}
-		e := metrics.Compare(vs.Original(m), recon[m], vs.Fill, vs.HasFill)
-		rz := vs.RMSZOf(m, recon[m])
-		res.Checks = append(res.Checks, MemberCheck{
-			Member: m, Errors: e, RMSZOrig: vs.RMSZ[m], RMSZRecon: rz,
+	}
+	res, err := v.check(name, v.testMembers(), make([]float64, nm), true,
+		func(m int, yield func(off int, vals []float32) error) error {
+			return yield(0, recon[m])
 		})
-		if !e.PassesCorrelation() {
-			res.RhoPass = false
-		}
-		slack := 0.01 * res.RMSZBox.Range()
-		within := rz >= res.RMSZBox.Min-slack && rz <= res.RMSZBox.Max+slack
-		if math.IsNaN(rz) || !within || math.Abs(rz-vs.RMSZ[m]) > v.Thr.RMSZDiff {
-			res.RMSZPass = false
-		}
-		if res.EnmaxSpread <= 0 || math.IsNaN(e.ENMax) ||
-			e.ENMax/res.EnmaxSpread > v.Thr.EnmaxRatio {
-			res.EnmaxPass = false
-		}
+	if err != nil {
+		return Result{}, err
 	}
-	res.ReconRMSZ = ensemble.RMSZScores(recon, vs.FillMask)
-	res.Bias = stats.LinearFit(vs.RMSZ, res.ReconRMSZ)
-	res.BiasPass = !math.IsNaN(res.Bias.Slope) &&
-		res.Bias.SlopeWorstCaseDistance() <= v.Thr.SlopeDistance
 	res.RangeOK = true
-	res.AllPass = res.RhoPass && res.RMSZPass && res.EnmaxPass && res.BiasPass
 	return res, nil
 }

@@ -247,7 +247,9 @@ func TestVerifyDataMatchesVerify(t *testing.T) {
 	}
 	recon := make([][]float32, vs.Members())
 	for m := range recon {
-		buf, err := codec.Compress(vs.Original(m), shape)
+		data, release := vs.AcquireOriginal(m)
+		buf, err := codec.Compress(data, shape)
+		release()
 		if err != nil {
 			t.Fatal(err)
 		}

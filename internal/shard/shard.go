@@ -291,6 +291,15 @@ func (s *scheduler) try(idx int, stealing bool) bool {
 		return false
 	}
 	lease := leaseID(u)
+	// A peer may have finished the unit, published its done record and
+	// released its lease between the check above and our claim. The done
+	// record is written before the lease is removed, so it is visible now.
+	if _, ok := store.Get(DoneID(u.Key)); ok {
+		store.Remove(lease)
+		s.settled[idx] = true
+		s.res.Skipped++
+		return true
+	}
 	// Keep the lease fresh while the unit computes, so the TTL bounds
 	// crash detection latency rather than unit runtime.
 	stopTouch := make(chan struct{})

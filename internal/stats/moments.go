@@ -28,38 +28,13 @@ func NewMoments(n int) *Moments {
 // Len returns the number of points.
 func (mo *Moments) Len() int { return len(mo.Sum) }
 
-// AddMember folds one member's values into every non-masked point of
-// [lo, hi). mask may be nil. Accumulation order per point is the call
-// order, so adding members 0..M-1 yields sums bit-identical to a serial
-// per-point loop regardless of how [lo, hi) ranges partition the points.
-func (mo *Moments) AddMember(data []float32, mask []bool, lo, hi int) {
-	sum, sumsq, cnt := mo.Sum, mo.SumSq, mo.N
-	if mask == nil {
-		for i := lo; i < hi; i++ {
-			x := float64(data[i])
-			cnt[i]++
-			sum[i] += x
-			sumsq[i] += x * x
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if mask[i] {
-			continue
-		}
-		x := float64(data[i])
-		cnt[i]++
-		sum[i] += x
-		sumsq[i] += x * x
-	}
-}
-
 // AddMemberChunk folds one chunk of a member's values — the points
-// [off, off+len(vals)) — into the accumulator, with the same per-point
-// arithmetic as AddMember. Feeding a member's chunks in ascending offset
-// order is equivalent to one AddMember call over the whole field; the
-// fused decode path drives this straight from a codec's chunk iterator.
-// mask (indexed by absolute point, like off) may be nil.
+// [off, off+len(vals)) — into every non-masked point of the accumulator.
+// Accumulation order per point is the call order, so adding members
+// 0..M-1 chunk by chunk yields sums bit-identical to a serial per-point
+// loop however the chunks partition the points; the fused decode path
+// drives this straight from a codec's chunk iterator. mask (indexed by
+// absolute point, like off) may be nil.
 func (mo *Moments) AddMemberChunk(vals []float32, mask []bool, off int) {
 	sum, sumsq, cnt := mo.Sum, mo.SumSq, mo.N
 	if mask == nil {
