@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-short perfbench-check bench bench-json bench-diff bench-shard bench-serve bench-fused bench-lint shard-smoke serve-smoke fuzz vet lint lint-corpus fmt fmt-check verify experiments clean
+.PHONY: all build test race race-short perfbench-check bench shard-smoke serve-smoke fuzz vet lint lint-corpus fmt fmt-check verify experiments clean
 
 all: build test
 
@@ -17,14 +17,16 @@ test:
 # (cmd/climatelint), the full test suite, then named re-runs that must
 # stay visible in the verify log even when the suite is green — the
 # tsblob golden-stream bit-identity pin, the record v1→v2 migration
-# smoke, and the pin of the streaming verification kernels against their
-# whole-field reference loops — then the benchmark module's own build and
-# tests, and the race detector over the concurrent packages. When two
-# benchmark snapshots are present the benchdiff performance gate runs
-# too; otherwise it is skipped (fresh checkouts have no snapshots).
+# smoke, the pin of the streaming verification kernels against their
+# whole-field reference loops, and the steady-state allocation budgets
+# of the hot paths (codec Into, fused decode→compare, warm verdict,
+# record decode, L96 step, ensemble build) — then the benchmark
+# module's own build and tests, the race detector over the concurrent
+# packages, and the two cross-process byte-identity smokes. Timing is
+# not gated here: perfbench (perfbench/run.sh) measures the commit under
+# test end to end.
 verify:
 	$(GO) build ./...
-	$(GO) build ./cmd/benchdiff
 	$(GO) build ./cmd/climatelint
 	$(MAKE) fmt-check
 	$(GO) vet ./...
@@ -34,15 +36,11 @@ verify:
 	$(GO) test ./internal/compress/tsblob/ -run TestGoldenStream
 	$(GO) test ./internal/experiments/ -run TestRecordV1MigrationSmoke
 	$(GO) test ./internal/metrics/ -run TestFusedEquivalence
+	$(GO) test ./internal/... -run SteadyStateAllocs -count=1
 	$(MAKE) perfbench-check
 	$(MAKE) race-short
 	$(MAKE) shard-smoke
 	$(MAKE) serve-smoke
-	@if [ -n "$(BASE)" ] && [ -n "$(HEAD)" ] && [ "$(BASE)" != "$(HEAD)" ]; then \
-		$(GO) run ./cmd/benchdiff -base $(BASE) -head $(HEAD); \
-	else \
-		echo "benchdiff gate skipped: need two BENCH_PR*.json snapshots"; \
-	fi
 
 # Repo-specific static analysis: ten stdlib-only analyzers — syntactic
 # determinism/resource checks plus the CFG/dataflow-based concurrency
@@ -87,32 +85,6 @@ perfbench-check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Benchmark snapshots are named BENCH_PR<n>.json. The newest two are
-# detected automatically (version sort, so PR10 follows PR9), BASE being
-# the older: `make bench-diff` gates the newest snapshot against its
-# predecessor without Makefile edits each PR. Override BASE/HEAD/OUT
-# explicitly to compare arbitrary snapshots.
-SNAPSHOTS := $(shell ls BENCH_PR*.json 2>/dev/null | sort -V)
-BASE ?= $(shell ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n 2 | head -n 1)
-HEAD ?= $(shell ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n 1)
-LATEST_PR := $(shell ls BENCH_PR*.json 2>/dev/null | sed -E 's/BENCH_PR([0-9]+)\.json/\1/' | sort -n | tail -n 1)
-OUT ?= BENCH_PR$(shell expr 0$(LATEST_PR) + 1).json
-
-# Machine-readable performance snapshot: per-experiment wall-clock and heap
-# allocation for cold / warm / incremental artifact-cache passes, plus
-# ns/op + allocs/op microbenchmarks for the RMSZ engine and every codec.
-bench-json:
-	$(GO) run ./cmd/benchjson -out $(OUT)
-
-# Performance gate: compare two bench-json snapshots and fail on >15% codec
-# throughput regression, any allocs/op increase, or >25% growth in an
-# experiment's cumulative heap allocation.
-bench-diff:
-	@if [ -z "$(BASE)" ] || [ "$(BASE)" = "$(HEAD)" ]; then \
-		echo "bench-diff: need two BENCH_PR*.json snapshots (have: $(SNAPSHOTS))"; exit 1; \
-	fi
-	$(GO) run ./cmd/benchdiff -base $(BASE) -head $(HEAD)
-
 # Cross-process correctness smoke: a 2-shard supervised run (two real
 # climatebench children coordinating through one artifact cache) must
 # render byte-identical stdout to a plain single-process uncached run.
@@ -127,16 +99,6 @@ shard-smoke:
 	else \
 		echo "shard-smoke: output differs:"; diff $$tmp/serial.txt $$tmp/sharded.txt; exit 1; \
 	fi
-
-# Shard-scale performance snapshot: cold and warm supervised runs at 1, 2
-# and 4 shards (one worker per child, so scaling reflects process
-# parallelism) appended to the newest BENCH_PR*.json via per-entry-best
-# merge. On a >=4-core host the 4-shard cold pass should be >=3x faster
-# than 1-shard; benchdiff then gates these entries like any other.
-bench-shard:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/climatebench ./cmd/climatebench && \
-	$(GO) run ./cmd/benchjson -shard-bin $$tmp/climatebench -shard-only -merge $(HEAD) -out $(HEAD)
 
 # Serving correctness smoke: start climatebenchd on an ephemeral port, ask
 # it for one verdict through its built-in client, and require the response
@@ -165,31 +127,6 @@ serve-smoke:
 	wait $$dpid || { echo "serve-smoke: daemon exited nonzero on SIGINT"; cat $$tmp/daemon.log; exit 1; }; \
 	dpid=; \
 	echo "serve-smoke: daemon verdict byte-identical to batch; clean shutdown"
-
-# Serving performance snapshot: load-test the daemon cold (every pair a
-# fresh computation), warm (pure response-cache hits; the >=1000 verdicts/s
-# target lives here) and coalesced (100 concurrent identical requests, one
-# compute), appending serve/ entries with ops/sec and p50/p99 latency to
-# the newest BENCH_PR*.json via per-entry-best merge.
-bench-serve:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/climatebenchd ./cmd/climatebenchd && \
-	$(GO) run ./cmd/benchjson -serve-bin $$tmp/climatebenchd -serve-only -merge $(HEAD) -out $(HEAD)
-
-# Fused-kernel performance snapshot: decode→compare ns/op micros (0
-# allocs/op target) for the natively-chunked codec families next to their
-# materialize-then-compare companions, plus the two peak-heap
-# error-matrix units (fused vs materialized residency on a bench-grid
-# field), appended to the newest BENCH_PR*.json via per-entry-best merge.
-bench-fused:
-	$(GO) run ./cmd/benchjson -fused-only -merge $(HEAD) -out $(HEAD)
-
-# Static-analysis wall-time snapshot: one lint/ entry timing a full
-# `climatelint ./...` pass (load + all analyzers), appended to the
-# newest BENCH_PR*.json via per-entry-best merge. Informational only —
-# benchdiff prints it with a "(not gated)" marker and never fails on it.
-bench-lint:
-	$(GO) run ./cmd/benchjson -lint-only -merge $(HEAD) -out $(HEAD)
 
 # Short fuzzing pass over the decoder, container, artifact-cache, and
 # lint-directive parsers.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"climcompress/internal/blob"
 )
 
 func TestNilStoreSafe(t *testing.T) {
@@ -197,7 +199,7 @@ func TestTrimEvictsOldestFirst(t *testing.T) {
 func TestRecordRoundTrip(t *testing.T) {
 	var e Enc
 	e.Uint(7).Int(-3).Float(3.5).Bool(true).Bool(false).Str("hé").
-		Floats([]float64{1, -2.25, 0}).Floats32([]float32{9, -8})
+		Floats([]float64{1, -2.25, 0})
 	d := NewDec(e.Bytes())
 	if v := d.Uint(); v != 7 {
 		t.Fatalf("Uint %d", v)
@@ -217,10 +219,6 @@ func TestRecordRoundTrip(t *testing.T) {
 	f := d.Floats()
 	if len(f) != 3 || f[1] != -2.25 {
 		t.Fatalf("Floats %v", f)
-	}
-	f32 := d.Floats32()
-	if len(f32) != 2 || f32[1] != -8 {
-		t.Fatalf("Floats32 %v", f32)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -264,22 +262,52 @@ func TestRecordHugeVectorLength(t *testing.T) {
 	}
 }
 
-func TestFloats32Into(t *testing.T) {
+// TestScoreRecordSteadyStateAllocs pins the read cost of the cache's
+// hottest payload shape, a per-member score record (two float64 vectors at
+// paper-scale ensemble size), in both record formats: the v2 blob record
+// is validated and read in place with no allocation, and the v1 tagged
+// stream allocates only its two decoded slices.
+func TestScoreRecordSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
+	}
+	const members = 101
+	rmsz := make([]float64, members)
+	enmax := make([]float64, members)
+	for i := range rmsz {
+		rmsz[i] = 1 + float64(i)/members
+		enmax[i] = 2 - float64(i)/members
+	}
+	w := blob.GetWriter()
+	w.AddF64s(rmsz)
+	w.AddF64s(enmax)
+	v2 := w.AppendTo(nil)
+	blob.PutWriter(w)
 	var e Enc
-	e.Floats32([]float32{1, 2, 3})
-	d := NewDec(e.Bytes())
-	dst := make([]float32, 3)
-	got := d.Floats32Into(dst, 3)
-	if &got[0] != &dst[0] {
-		t.Fatal("exact-length dst not reused")
+	e.Floats(rmsz).Floats(enmax)
+	v1 := e.Bytes()
+
+	if allocs := testing.AllocsPerRun(10, func() {
+		b, err := OpenRecord(v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv, err1 := b.F64(0)
+		ev, err2 := b.F64(1)
+		if err1 != nil || err2 != nil || rv.At(members-1) != rmsz[members-1] || ev.At(0) != enmax[0] {
+			t.Fatal("v2 score record unreadable")
+		}
+	}); allocs > 0 {
+		t.Errorf("v2 score record read allocates %.1f/op in steady state, want 0", allocs)
 	}
-	if got[2] != 3 {
-		t.Fatalf("decoded %v", got)
-	}
-	// Want mismatch is an error.
-	d2 := NewDec(e.Bytes())
-	if v := d2.Floats32Into(nil, 5); v != nil || d2.Err() == nil {
-		t.Fatal("length mismatch must error")
+	if allocs := testing.AllocsPerRun(10, func() {
+		d := NewDec(v1)
+		r, en := d.Floats(), d.Floats()
+		if d.Close() != nil || len(r) != members || len(en) != members {
+			t.Fatal("v1 score record unreadable")
+		}
+	}); allocs > 2 {
+		t.Errorf("v1 score record decode allocates %.1f/op in steady state, want ≤ 2", allocs)
 	}
 }
 

@@ -20,7 +20,6 @@ const (
 	tagBool  byte = 'B'
 	tagStr   byte = 'S'
 	tagF64s  byte = 'V'
-	tagF32s  byte = 'v'
 )
 
 // ErrRecord is returned (via Dec.Err) for any malformed record payload.
@@ -82,18 +81,6 @@ func (e *Enc) Floats(v []float64) *Enc {
 	e.u64(uint64(len(v)))
 	for _, x := range v {
 		e.u64(math.Float64bits(x))
-	}
-	return e
-}
-
-// Floats32 appends a float32 vector (member field data).
-func (e *Enc) Floats32(v []float32) *Enc {
-	e.b = append(e.b, tagF32s)
-	e.u64(uint64(len(v)))
-	var b [4]byte
-	for _, x := range v {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
-		e.b = append(e.b, b[:]...)
 	}
 	return e
 }
@@ -224,32 +211,3 @@ func (d *Dec) Floats() []float64 {
 	}
 	return out
 }
-
-// Floats32Into reads a float32 vector into dst when dst has the exact
-// decoded length (avoiding an allocation on pooled buffers); otherwise it
-// allocates. A length mismatch against want >= 0 is an error.
-func (d *Dec) Floats32Into(dst []float32, want int) []float32 {
-	if !d.tag(tagF32s) {
-		return nil
-	}
-	n := d.u64()
-	if d.err != nil || n > uint64(len(d.b)-d.off)/4 {
-		d.fail()
-		return nil
-	}
-	if want >= 0 && n != uint64(want) {
-		d.fail()
-		return nil
-	}
-	if uint64(len(dst)) != n {
-		dst = make([]float32, n)
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off:]))
-		d.off += 4
-	}
-	return dst
-}
-
-// Floats32 reads a float32 vector.
-func (d *Dec) Floats32() []float32 { return d.Floats32Into(nil, -1) }

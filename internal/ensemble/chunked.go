@@ -55,7 +55,7 @@ func (a *RMSZAccumulator) Push(excl, vals []float32, off int) {
 		if mask != nil && mask[i] {
 			continue
 		}
-		// Leave-one-out moments, inlined from stats.Moments.Excluding with
+		// Leave-one-out moments, inlined from stats.LeaveOneOut.Excluding with
 		// identical operation order. n < 2 is the σ = NaN case; vr == 0 is
 		// the zero-spread case; both skip the point, so masked fill points
 		// and zero-spread points (including constant sub-ensembles) are
@@ -130,14 +130,18 @@ func (a *MeanAccumulator) Finish() float64 {
 	return a.sum / float64(a.n)
 }
 
-// RMSZScoresChunked is RMSZScores over an ensemble supplied chunk by chunk:
-// decode(m, yield) streams member m's values in ascending contiguous chunks
-// (the compress.DecodeChunks contract). Pass A folds each member's chunks
-// into the moments serially in member order, so every point accumulates
-// members in index order; pass B re-decodes each member in parallel and
-// self-scores it. No full member field is ever materialized, and at most
-// O(workers) chunk buffers are live. A decode error aborts and is returned,
-// and so does a member that does not cover exactly npoints points.
+// RMSZScoresChunked computes the eq. 7 RMSZ of every member of an
+// arbitrary ensemble against that ensemble's own leave-one-out statistics.
+// The paper's bias test applies this to the fully reconstructed ensemble Ẽ
+// ("substituting Ẽ for E"). fillMask marks points to skip. The ensemble is
+// supplied chunk by chunk: decode(m, yield) streams member m's values in
+// ascending contiguous chunks (the compress.DecodeChunks contract). Pass A
+// folds each member's chunks into the moments serially in member order, so
+// every point accumulates members in index order; pass B re-decodes each
+// member in parallel and self-scores it. No full member field is ever
+// materialized, and at most O(workers) chunk buffers are live. A decode
+// error aborts and is returned, and so does a member that does not cover
+// exactly npoints points.
 func RMSZScoresChunked(nm, npoints int, fillMask []bool, decode func(m int, yield func(off int, vals []float32) error) error) ([]float64, error) {
 	if nm == 0 {
 		return nil, nil

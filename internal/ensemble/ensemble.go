@@ -171,20 +171,6 @@ func (vs *VarStats) AcquireOriginal(m int) ([]float32, func()) {
 	return f.Data, func() { releaseField(vs.src, f) }
 }
 
-// RMSZOf computes the RMSZ score (eqs. 6–7) of the given data against the
-// leave-one-out statistics of the sub-ensemble {E \ m}. data may be member
-// m's original values (yielding the eq. 7 score) or a reconstruction of
-// them; in both cases the excluded value is member m's original one, since
-// {E \ m} never contains reconstructed data.
-func (vs *VarStats) RMSZOf(m int, data []float32) float64 {
-	if len(data) != vs.NPoints {
-		return math.NaN()
-	}
-	orig, release := vs.AcquireOriginal(m)
-	defer release()
-	return scoreRMSZ(vs.Mom, orig, data, vs.FillMask)
-}
-
 // scoreRMSZ is the eq. 6–7 score of data against the leave-one-out
 // statistics of mo with exclude's values removed: the RMSZAccumulator fed
 // the whole field as one chunk. Masked fill points and points with zero
@@ -271,26 +257,6 @@ func (vs *VarStats) SigmaMedian() float64 {
 	}
 	sort.Float64s(sigmas)
 	return sigmas[len(sigmas)/2]
-}
-
-// RMSZScores computes the eq. 7 RMSZ of every member of an arbitrary
-// ensemble of data arrays against that ensemble's own leave-one-out
-// statistics. The paper's bias test applies this to the fully reconstructed
-// ensemble Ẽ ("substituting Ẽ for E"). fillMask marks points to skip. It is
-// RMSZScoresChunked with each member yielded whole; members of differing
-// lengths yield nil.
-func RMSZScores(members [][]float32, fillMask []bool) []float64 {
-	if len(members) == 0 {
-		return nil
-	}
-	out, err := RMSZScoresChunked(len(members), len(members[0]), fillMask,
-		func(m int, yield func(off int, vals []float32) error) error {
-			return yield(0, members[m])
-		})
-	if err != nil {
-		return nil
-	}
-	return out
 }
 
 // MaskedMean averages data over non-masked points (mask may be nil). This is

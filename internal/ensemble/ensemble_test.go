@@ -7,6 +7,7 @@ import (
 
 	"climcompress/internal/field"
 	"climcompress/internal/grid"
+	"climcompress/internal/par"
 	"climcompress/internal/stats"
 )
 
@@ -51,6 +52,28 @@ func TestBuildBasics(t *testing.T) {
 	}
 }
 
+// rmszOf is the eq. 6–7 score of data against the leave-one-out statistics
+// of {E \ m}: data may be member m's original values or a reconstruction of
+// them, and the excluded value is always member m's original one.
+func rmszOf(vs *VarStats, m int, data []float32) float64 {
+	orig, release := vs.AcquireOriginal(m)
+	defer release()
+	return scoreRMSZ(vs.Mom, orig, data, vs.FillMask)
+}
+
+// wholeMemberScores is RMSZScoresChunked with every member yielded whole.
+func wholeMemberScores(t testing.TB, members [][]float32, mask []bool) []float64 {
+	t.Helper()
+	scores, err := RMSZScoresChunked(len(members), len(members[0]), mask,
+		func(m int, yield func(off int, vals []float32) error) error {
+			return yield(0, members[m])
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scores
+}
+
 func TestRMSZDetectsPerturbation(t *testing.T) {
 	fields := syntheticFields(21, 1.0, 2)
 	vs, err := Build(fields)
@@ -58,16 +81,16 @@ func TestRMSZDetectsPerturbation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := 3
-	orig := vs.RMSZOf(m, fields[m].Data)
+	orig := rmszOf(vs, m, fields[m].Data)
 	if math.Abs(orig-vs.RMSZ[m]) > 1e-12 {
-		t.Fatal("RMSZOf on original data disagrees with stored RMSZ")
+		t.Fatal("RMSZ of original data disagrees with stored RMSZ")
 	}
 	// A small perturbation (well under sigma) moves RMSZ only slightly.
 	small := make([]float32, len(fields[m].Data))
 	for i, v := range fields[m].Data {
 		small[i] = v + 0.01
 	}
-	if d := math.Abs(vs.RMSZOf(m, small) - orig); d > 0.05 {
+	if d := math.Abs(rmszOf(vs, m, small) - orig); d > 0.05 {
 		t.Fatalf("tiny perturbation moved RMSZ by %v", d)
 	}
 	// A perturbation comparable to sigma moves RMSZ a lot.
@@ -75,7 +98,7 @@ func TestRMSZDetectsPerturbation(t *testing.T) {
 	for i, v := range fields[m].Data {
 		big[i] = v + 3
 	}
-	if d := math.Abs(vs.RMSZOf(m, big) - orig); d < 0.5 {
+	if d := math.Abs(rmszOf(vs, m, big) - orig); d < 0.5 {
 		t.Fatalf("large perturbation moved RMSZ by only %v", d)
 	}
 }
@@ -164,10 +187,10 @@ func TestRMSZScoresSelfConsistent(t *testing.T) {
 	for m, f := range fields {
 		members[m] = f.Data
 	}
-	scores := RMSZScores(members, vs.FillMask)
+	scores := wholeMemberScores(t, members, vs.FillMask)
 	for m := range scores {
 		if math.Abs(scores[m]-vs.RMSZ[m]) > 1e-9 {
-			t.Fatalf("RMSZScores[%d] = %v, VarStats RMSZ = %v", m, scores[m], vs.RMSZ[m])
+			t.Fatalf("RMSZScoresChunked[%d] = %v, VarStats RMSZ = %v", m, scores[m], vs.RMSZ[m])
 		}
 	}
 }
@@ -180,8 +203,8 @@ func TestRMSZScoresOfIdenticalEnsembles(t *testing.T) {
 	for m, f := range fields {
 		a[m] = f.Data
 	}
-	s1 := RMSZScores(a, nil)
-	s2 := RMSZScores(a, nil)
+	s1 := wholeMemberScores(t, a, nil)
+	s2 := wholeMemberScores(t, a, nil)
 	reg := stats.LinearFit(s1, s2)
 	if math.Abs(reg.Slope-1) > 1e-12 || math.Abs(reg.Intercept) > 1e-12 {
 		t.Fatalf("identical ensembles: slope %v intercept %v", reg.Slope, reg.Intercept)
@@ -210,6 +233,28 @@ func TestGlobalMeansTight(t *testing.T) {
 	}
 }
 
+// TestBuildSteadyStateAllocs pins Build's allocations over 31 test-grid
+// members at pool width 1; the count depends on the width, so the width is
+// fixed here. Nearly all of the budget is per member (about 7 each):
+// buildStream's one-member chunk slices and closures, Field.GlobalMean's
+// grid.AreaWeights vector and par.Ranges' closure.
+func TestBuildSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
+	}
+	old := par.Width()
+	par.SetWidth(1)
+	defer par.SetWidth(old)
+	fields := syntheticFields(31, 1.0, 12)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Build(fields); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 233 {
+		t.Errorf("Build allocates %.0f/op, want ≤ 233", allocs)
+	}
+}
+
 func BenchmarkBuild(b *testing.B) {
 	fields := syntheticFields(31, 1.0, 12)
 	b.ResetTimer()
@@ -220,12 +265,12 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkRMSZOf(b *testing.B) {
+func BenchmarkScoreRMSZ(b *testing.B) {
 	fields := syntheticFields(31, 1.0, 13)
 	vs, _ := Build(fields)
 	data := fields[5].Data
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = vs.RMSZOf(5, data)
+		_ = rmszOf(vs, 5, data)
 	}
 }

@@ -74,12 +74,12 @@ func TestGoldenMomentVsNaive(t *testing.T) {
 					sigma, m, vs.RMSZ[m], want, d)
 			}
 		}
-		// RMSZScores (the bias-test path) against the same golden values.
-		scores := RMSZScores(members, vs.FillMask)
+		// RMSZScoresChunked (the bias-test path) against the same golden values.
+		scores := wholeMemberScores(t, members, vs.FillMask)
 		for m := range members {
 			want := naiveRMSZ(members, m, vs.FillMask)
 			if d := relDiff(scores[m], want); d > tol {
-				t.Fatalf("sigma=%v RMSZScores[%d] = %v vs naive %v (rel %v)",
+				t.Fatalf("sigma=%v RMSZScoresChunked[%d] = %v vs naive %v (rel %v)",
 					sigma, m, scores[m], want, d)
 			}
 		}
@@ -188,9 +188,9 @@ func TestFullyMaskedColumn(t *testing.T) {
 	for m, f := range fields {
 		members[m] = f.Data
 	}
-	for m, s := range RMSZScores(members, vs.FillMask) {
+	for m, s := range wholeMemberScores(t, members, vs.FillMask) {
 		if !math.IsNaN(s) {
-			t.Fatalf("RMSZScores[%d] = %v, want NaN", m, s)
+			t.Fatalf("RMSZScoresChunked[%d] = %v, want NaN", m, s)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func referenceScoreRMSZ(mo *stats.Moments, exclude, data []float32, mask []bool)
 		if mask != nil && mask[i] {
 			continue
 		}
-		// Leave-one-out moments, inlined from stats.Moments.Excluding with
+		// Leave-one-out moments, inlined from stats.LeaveOneOut.Excluding with
 		// identical operation order. n < 2 is the σ = NaN case; vr == 0 is
 		// the zero-spread case; both skip the point.
 		n := int(cnts[i]) - 1

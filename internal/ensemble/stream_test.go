@@ -217,7 +217,7 @@ func TestRMSZScoresStreamMatchesSerial(t *testing.T) {
 		want[m] = referenceScoreRMSZ(mo, members[m], members[m], mask)
 	}
 
-	eqF64(t, "RMSZScores", want, RMSZScores(members, mask))
+	eqF64(t, "RMSZScoresChunked", want, wholeMemberScores(t, members, mask))
 
 	// acquire runs on the worker pool, so the counter must be atomic.
 	var acquires atomic.Int64

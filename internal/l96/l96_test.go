@@ -204,6 +204,19 @@ func TestDerivMatchesReference(t *testing.T) {
 	}
 }
 
+// TestStepSteadyStateAllocs pins the RK4 step at zero allocations: its
+// stage buffers live on the Model and are reused across steps.
+func TestStepSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
+	}
+	m := New(DefaultParams())
+	s := m.InitialState(0)
+	if allocs := testing.AllocsPerRun(10, func() { m.Step(s, 0.002) }); allocs > 0 {
+		t.Errorf("Step allocates %.1f/op in steady state, want 0", allocs)
+	}
+}
+
 func BenchmarkStep(b *testing.B) {
 	m := New(DefaultParams())
 	s := m.InitialState(0)

@@ -1,0 +1,7 @@
+//go:build !race
+
+package l96
+
+// raceEnabled reports whether the race detector is active; its shadow
+// memory bookkeeping allocates, so allocation-count tests skip themselves.
+const raceEnabled = false

@@ -8,9 +8,9 @@ import (
 // BenchmarkClimatelint times one full analyzer pass — all analyzers over
 // every package in the module — against packages loaded once up front.
 // Loading (parse + type-check) is excluded so the number tracks the
-// CFG/dataflow engine and analyzer walks themselves; the benchjson
-// lint/climatelint-repo entry covers the end-to-end wall-clock including
-// the load. The pass doubles as a clean-module assertion.
+// CFG/dataflow engine and analyzer walks themselves; timing
+// `go run ./cmd/climatelint ./...` gives the end-to-end wall-clock
+// including the load. The pass doubles as a clean-module assertion.
 func BenchmarkClimatelint(b *testing.B) {
 	l, err := NewLoader(".")
 	if err != nil {

@@ -137,6 +137,49 @@ func TestFusedEquivalence(t *testing.T) {
 	}
 }
 
+// TestFusedSteadyStateAllocs pins the fused verification inner loop —
+// DecodeChunks into a reused chunk buffer, Comparer.Push per chunk, then
+// Finish on a reused Comparer — at zero allocations per field for every
+// registered codec with a native chunk decoder.
+func TestFusedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
+	}
+	orig := fusedFields()["chaotic"]
+	chunk := make([]float32, 100)
+	var cmp Comparer
+	yield := func(off int, vals []float32) error {
+		cmp.Push(orig[off:off+len(vals)], vals, off)
+		return nil
+	}
+	for _, name := range compress.Names() {
+		c, err := compress.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.(compress.ChunkDecoder); !ok {
+			continue
+		}
+		buf, err := compress.CompressInto(c, nil, orig, fusedShape)
+		if err != nil {
+			t.Fatalf("%s: compress: %v", name, err)
+		}
+		var e Errors
+		if allocs := testing.AllocsPerRun(10, func() {
+			cmp.Reset(testFill, true)
+			if err := compress.DecodeChunks(c, buf, chunk, yield); err != nil {
+				t.Fatalf("%s: DecodeChunks: %v", name, err)
+			}
+			e = cmp.Finish()
+		}); allocs > 0 {
+			t.Errorf("%s: decode→compare allocates %.1f/op in steady state, want 0", name, allocs)
+		}
+		if e.N != len(orig) {
+			t.Fatalf("%s: compared %d of %d points", name, e.N, len(orig))
+		}
+	}
+}
+
 // TestCompareAllFillNaN is the regression pin for the degenerate all-fill
 // field: zero valid points must yield the explicit NaN-filled Errors (the
 // same shape as the length-mismatch case), discarding even the infinite

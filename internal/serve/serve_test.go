@@ -367,29 +367,6 @@ func TestPreloadMakesWarmServing(t *testing.T) {
 	}
 }
 
-func TestLoadGenerator(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	res, err := Load(LoadSpec{
-		URL:         ts.URL,
-		Variables:   []string{"U", "SST"},
-		Variants:    []string{"fpzip-24", "isa-0.1"},
-		Total:       40,
-		Concurrency: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK != 40 || res.Errors != 0 {
-		t.Fatalf("load result %+v", res)
-	}
-	if res.P50 <= 0 || res.P99 < res.P50 || res.OpsPerSec() <= 0 {
-		t.Fatalf("degenerate quantiles %+v", res)
-	}
-	if _, err := Load(LoadSpec{URL: ts.URL}); err == nil {
-		t.Fatal("empty spec accepted")
-	}
-}
-
 func TestDaemonMatchesBatchBytes(t *testing.T) {
 	// The serve-smoke contract in miniature: the daemon's JSON body must
 	// equal the batch renderer's bytes for the same cell.
@@ -431,6 +408,61 @@ func TestGateDirect(t *testing.T) {
 func TestNewRejectsMissingRunner(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a nil runner")
+	}
+}
+
+// nopBody is a resettable request body, so the measured request carries
+// no per-op reader allocation of its own.
+type nopBody struct{ *bytes.Reader }
+
+func (nopBody) Close() error { return nil }
+
+// nopResponseWriter swallows the response, so a measurement covers the
+// handler and not an HTTP transport.
+type nopResponseWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *nopResponseWriter) Header() http.Header         { return w.h }
+func (w *nopResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *nopResponseWriter) WriteHeader(code int)        { w.code = code }
+
+// TestWarmVerdictSteadyStateAllocs pins the warm /verdict hot path — a
+// response-cache hit, with no admission and no singleflight — at a fixed
+// allocation budget per request through Handler, in both encodings.
+func TestWarmVerdictSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
+	}
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	body := []byte(`{"variable":"U","variant":"tsblob"}`)
+	for _, accept := range []string{ContentTypeJSON, ContentTypeBinary} {
+		rd := bytes.NewReader(body)
+		req, err := http.NewRequest("POST", "/verdict", nopBody{rd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", accept)
+		w := &nopResponseWriter{h: make(http.Header)}
+		// The first request computes the verdict and fills the response cache.
+		h.ServeHTTP(w, req)
+		if allocs := testing.AllocsPerRun(10, func() {
+			rd.Reset(body)
+			h.ServeHTTP(w, req)
+		}); allocs > 10 {
+			t.Errorf("%s: warm verdict allocates %.1f/op in steady state, want ≤ 10", accept, allocs)
+		}
+		if w.code != 0 && w.code != http.StatusOK {
+			t.Fatalf("%s: warm verdict returned %d", accept, w.code)
+		}
+		if got := w.h.Get("Content-Type"); got != accept {
+			t.Fatalf("served %q, want %q", got, accept)
+		}
+	}
+	if st := s.Stats(); st.Serve.Computes != 1 {
+		t.Fatalf("warm requests recomputed: %+v", st.Serve)
 	}
 }
 

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // Moments is the structure-of-arrays streaming moment accumulator behind
 // the one-pass leave-one-out ensemble statistics (eqs. 6–8): one pass over
 // all members accumulates per-point Σx and Σx², and the mean/std of the
@@ -57,43 +55,6 @@ func (mo *Moments) AddMemberChunk(vals []float32, mask []bool, off int) {
 		sum[i] += x
 		sumsq[i] += x * x
 	}
-}
-
-// Excluding returns the mean and unbiased sample standard deviation at
-// point i of the accumulated values with x (one previously added member
-// value) removed — the {E \ m} statistics of eq. 6. The arithmetic matches
-// LeaveOneOut.Excluding operation for operation.
-func (mo *Moments) Excluding(i int, x float64) (mean, std float64) {
-	n := int(mo.N[i]) - 1
-	if n < 1 {
-		return math.NaN(), math.NaN()
-	}
-	s := mo.Sum[i] - x
-	ss := mo.SumSq[i] - x*x
-	mean = s / float64(n)
-	if n < 2 {
-		return mean, math.NaN()
-	}
-	v := (ss - s*s/float64(n)) / float64(n-1)
-	if v < 0 { // numeric cancellation guard
-		v = 0
-	}
-	return mean, math.Sqrt(v)
-}
-
-// FullStd returns the full-ensemble (nothing excluded) unbiased standard
-// deviation at point i, or NaN for fewer than 2 values.
-func (mo *Moments) FullStd(i int) float64 {
-	n := float64(mo.N[i])
-	if n < 2 {
-		return math.NaN()
-	}
-	mean := mo.Sum[i] / n
-	v := (mo.SumSq[i] - mo.Sum[i]*mean) / (n - 1)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }
 
 // At returns the point's accumulated sums as a LeaveOneOut value,
